@@ -121,12 +121,8 @@ def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
 
 def _minimalize_mask(g: Graph, mask: int) -> int:
     """Prune a CEDS mask to a minimal one; assumes the input is a CEDS."""
+    inc = g.incident_mask
     tree = _spanning_tree_mask(g, mask)
-    vdeg: dict[int, int] = {}
-    for e in _bits(tree):
-        u, v = g.edges[e]
-        vdeg[u] = vdeg.get(u, 0) + 1
-        vdeg[v] = vdeg.get(v, 0) + 1
     heap = [e for e, _ in _pendant_items(g, tree)]
     heapq.heapify(heap)
     queued = set(heap)
@@ -135,15 +131,14 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
         if tree == 1 << e:
             break  # a single edge is always minimal; never remove it
         u, v = g.edges[e]
-        ell = u if vdeg[u] == 1 else v
+        ell = u if (inc[u] & tree).bit_count() == 1 else v
         if _pendant_has_private(g, tree, e, ell):
             continue  # private edges survive later removals, so e is settled
         tree ^= 1 << e
-        vdeg[u] -= 1
-        vdeg[v] -= 1
         other = v if ell == u else u
-        if vdeg[other] == 1:
-            f = (g.incident_mask[other] & tree).bit_length() - 1
+        rest = inc[other] & tree
+        if rest.bit_count() == 1:
+            f = rest.bit_length() - 1
             if f not in queued:
                 queued.add(f)
                 heapq.heappush(heap, f)

@@ -60,7 +60,7 @@ def _err(message: str) -> None:
 def _load_graph(cfg: RunConfig) -> Graph | None:
     try:
         return read_graph(cfg.input, cfg.fmt)
-    except (ParseError, GraphError) as exc:
+    except (ParseError, GraphError, UnicodeDecodeError) as exc:
         _err(f"{cfg.input}: {exc}")
         return None
     except OSError as exc:
@@ -155,7 +155,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     got: list = []
     enumerate_all(g, got.append)
     oracle_keys = {s.canonical_key for s in sols}
-    got_keys = {s.canonical_key for s in got}
+    got_keys: set = set()
+    for sol in got:
+        if sol.canonical_key in got_keys:
+            _row("oracle-equivalence", "FAIL")
+            _err(f"counterexample: solution '{solution_line(g, sol)}' emitted more than once")
+            return 4
+        got_keys.add(sol.canonical_key)
     if oracle_keys != got_keys:
         _row("oracle-equivalence", "FAIL")
         diff = sorted(oracle_keys ^ got_keys)[0]
@@ -281,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="edge-list file, or - for stdin")
     common(sp)
 
-    sp = sub.add_parser("kbest", help="stream up to k solutions, smallest first")
+    sp = sub.add_parser(
+        "kbest", help="stream up to k solutions best-first from a 2-approximate seed"
+    )
     sp.add_argument("input", help="edge-list file, or - for stdin")
     sp.add_argument("-k", type=int, help="number of solutions to emit")
     common(sp)

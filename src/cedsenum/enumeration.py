@@ -33,28 +33,6 @@ class MaxVisitedExceeded(RuntimeError):
         self.limit = limit
 
 
-class VisitedIndex:
-    """Membership index over canonical keys.
-
-    A hash set of the key tuples: insert and lookup cost is proportional to
-    the key length (hashing the tuple), with no false answers either way.
-    """
-
-    __slots__ = ("_keys",)
-
-    def __init__(self) -> None:
-        self._keys: set[tuple[int, ...]] = set()
-
-    def insert(self, key: tuple[int, ...]) -> None:
-        self._keys.add(key)
-
-    def __contains__(self, key: tuple[int, ...]) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 @dataclass
 class EnumerationStats:
     outputs: int = 0
@@ -85,20 +63,21 @@ def _run(
 ) -> EnumerationStats:
     stats = EnumerationStats()
     t_last = perf_counter()
-    delays: list[float] = []
+    delay_total = 0.0
 
     def emit(sol: Solution) -> None:
-        nonlocal t_last
+        nonlocal t_last, delay_total
         now = perf_counter()
-        delays.append(now - t_last)
+        delay = now - t_last
+        delay_total += delay
+        stats.max_delay_s = max(stats.max_delay_s, delay)
         t_last = now
         sink(sol)
         stats.outputs += 1
 
     def finalize() -> EnumerationStats:
-        if delays:
-            stats.max_delay_s = max(delays)
-            stats.mean_delay_s = sum(delays) / len(delays)
+        if stats.outputs:
+            stats.mean_delay_s = delay_total / stats.outputs
         return stats
 
     if min_ceds_is_singleton(g) is not None:
@@ -111,8 +90,7 @@ def _run(
         return finalize()
 
     start = approx_min_ceds(g).solution if kbest else initial_solution(g)
-    visited = VisitedIndex()
-    visited.insert(start.canonical_key)
+    visited = {start.canonical_key}
     heap: list[Solution] = []
     queue: deque[Solution] = deque()
     if kbest:
@@ -139,7 +117,7 @@ def _run(
                 continue
             if max_visited is not None and len(visited) >= max_visited:
                 raise MaxVisitedExceeded(max_visited)
-            visited.insert(nb.canonical_key)
+            visited.add(nb.canonical_key)
             if on_insert is not None:
                 on_insert(nb, prov)
             if kbest:
@@ -180,13 +158,16 @@ def enumerate_kbest(
     neighbor_cache: dict | None = None,
     on_insert: InsertHook | None = None,
 ) -> EnumerationStats:
-    """Feed up to ``k`` minimal CEDS to ``sink``, smallest sizes first.
+    """Feed up to ``k`` minimal CEDS to ``sink``, best-first from a 2-approximate seed.
 
-    Best-first from the approximation seed, ordered by (size, canonical
-    key).  Every emitted prefix satisfies the size guarantee checked in the
-    oracle module: emitted sizes stay within a constant factor of the
-    smallest solution not yet emitted.  ``k=None`` removes the output cap,
-    which yields exactly the full solution set in best-first order.
+    The seed from :func:`~cedsenum.approx.approx_min_ceds` comes out first,
+    whatever its size; the traversal then pops a priority queue ordered by
+    (size, canonical key), so the output is not sorted by size.  What holds
+    is the prefix guarantee checked in the oracle module: after every
+    output, the largest size emitted so far is at most ``c + 2`` times the
+    smallest solution not yet emitted, where ``c <= 2`` is the seed's ratio
+    to the optimum.  ``k=None`` removes the output cap, which yields exactly
+    the full solution set in best-first order.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -187,25 +187,16 @@ class Graph:
         if not edges:
             raise DisconnectedError("no edges: graph has no connected edge structure")
         g = cls(len(label), edges, labels=tuple(label))
-        reach = g._reachable_from(0)
-        if reach.bit_count() != g.n:
+        comp = _component_mask(g, g.all_edges_mask, 0)
+        if comp != g.all_edges_mask:
+            # edge 0 joins vertices 0 and 1, so its component is what vertex 0 reaches
+            reach = _vertices_mask(g, comp)
             missing = next(v for v in range(g.n) if not reach >> v & 1)
             raise DisconnectedError(
                 f"graph is disconnected: vertex {g.labels[missing]!r} is not reachable "
                 f"from vertex {g.labels[0]!r}"
             )
         return g
-
-    def _reachable_from(self, start: int) -> int:
-        seen = 1 << start
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in self.adjacency[v]:
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        return seen
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of edge {u, v}, or None."""
@@ -258,55 +249,40 @@ def _vertices_mask(g: Graph, mask: int) -> int:
     return vm
 
 
-def _components_masks(g: Graph, mask: int) -> list[int]:
-    """Edge masks of the connected components of G[mask].
-
-    Ordered by smallest contained edge index.
-    """
-    if not mask:
-        return []
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    edge_list = list(_bits(mask))
-    for e in edge_list:
-        u, v = g.edges[e]
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    comps: dict[int, int] = {}
-    for e in edge_list:  # ascending, so insertion order = smallest-edge order
-        comps.setdefault(find(g.edges[e][0]), 0)
-        comps[find(g.edges[e][0])] |= 1 << e
-    return list(comps.values())
-
-
-def _is_connected_mask(g: Graph, mask: int) -> bool:
-    """True iff mask is nonempty and G[mask] has a single component."""
-    if not mask:
-        return False
-    e0 = (mask & -mask).bit_length() - 1
-    frontier = g.edge_vmask[e0]
-    seen_e = 1 << e0
+def _component_mask(g: Graph, mask: int, e: int) -> int:
+    """Edge mask of the component of G[mask] that holds edge ``e``."""
+    comp = 1 << e
+    frontier = g.edge_vmask[e]
     seen_v = 0
     while frontier:
         v = (frontier & -frontier).bit_length() - 1
         frontier &= frontier - 1
         seen_v |= 1 << v
-        new_e = mask & g.incident_mask[v] & ~seen_e
-        seen_e |= new_e
-        for e in _bits(new_e):
-            frontier |= g.edge_vmask[e] & ~seen_v
-    return seen_e == mask
+        new_e = mask & g.incident_mask[v] & ~comp
+        comp |= new_e
+        while new_e:
+            low = new_e & -new_e
+            frontier |= g.edge_vmask[low.bit_length() - 1] & ~seen_v
+            new_e ^= low
+    return comp
+
+
+def _components_masks(g: Graph, mask: int) -> list[int]:
+    """Edge masks of the connected components of G[mask].
+
+    Ordered by smallest contained edge index.
+    """
+    comps = []
+    while mask:
+        comp = _component_mask(g, mask, (mask & -mask).bit_length() - 1)
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _is_connected_mask(g: Graph, mask: int) -> bool:
+    """True iff mask is nonempty and G[mask] has a single component."""
+    return mask != 0 and _component_mask(g, mask, (mask & -mask).bit_length() - 1) == mask
 
 
 def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
@@ -314,17 +290,13 @@ def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
 
     An isolated edge reports its smaller endpoint.
     """
-    deg: dict[int, int] = {}
-    for e in _bits(mask):
-        u, v = g.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
+    inc = g.incident_mask
     out = []
     for e in _bits(mask):
         u, v = g.edges[e]  # u < v
-        if deg[u] == 1:
+        if (inc[u] & mask).bit_count() == 1:
             out.append((e, u))
-        elif deg[v] == 1:
+        elif (inc[v] & mask).bit_count() == 1:
             out.append((e, v))
     return out
 
@@ -425,7 +397,12 @@ def parse_dimacs(text: str) -> list[tuple[int, int]]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(line_no, f"expected 'p edge n m', got {raw.strip()!r}")
-            declared_n = int(parts[2])
+            try:
+                declared_n = int(parts[2])
+            except ValueError:
+                raise ParseError(
+                    line_no, f"vertex count must be an integer, got {raw.strip()!r}"
+                ) from None
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'e u v', got {raw.strip()!r}")

@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cedsenum import is_minimal_ceds, parse_solution_line, read_graph, to_edge_list_text
+from cedsenum import (
+    enumerate_all,
+    is_minimal_ceds,
+    parse_solution_line,
+    read_graph,
+    solution_line,
+    to_edge_list_text,
+)
 from cedsenum import cli
 from cedsenum.cli import main
 
@@ -125,6 +136,43 @@ def test_enumerate_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def _run_cli(args: list[str], stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """Run ``python -m cedsenum`` in a child process, so a traceback shows.
+
+    Files and stdin are decoded as strict UTF-8 whatever the locale.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUTF8="1", PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cedsenum", *args],
+        input=stdin, capture_output=True, env=env, timeout=60,
+    )
+
+
+def test_enumerate_bad_dimacs_vertex_count_exits_2(tmp_path):
+    path = tmp_path / "bad.col"
+    path.write_text("c header below\np edge x 3\ne 1 2\n")
+    proc = _run_cli(["enumerate", str(path), "--format", "dimacs"])
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err.startswith("cedsenum: ") and "line 2: vertex count must be an integer" in err
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_enumerate_non_utf8_input_exits_2(tmp_path, from_stdin):
+    data = b"0 1\n1 \xff\n"
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(data)
+    source = "-" if from_stdin else str(path)
+    proc = _run_cli(["enumerate", source], stdin=data if from_stdin else b"")
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err.startswith(f"cedsenum: {source}: ") and "can't decode byte 0xff" in err
+
+
 def test_enumerate_missing_file_exits_2(tmp_path, capsys):
     assert main(["enumerate", str(tmp_path / "absent.edges")]) == 2
     assert "cedsenum:" in capsys.readouterr().err
@@ -222,6 +270,24 @@ def test_verify_exits_4_when_the_oracle_disagrees(c5_file, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "oracle-equivalence" in out and "FAIL" in out
     assert "not in oracle" in err
+
+
+def test_verify_exits_4_on_a_repeated_solution(c5_file, capsys, monkeypatch):
+    repeated = []
+
+    def repeat_first(g, sink, **kw):
+        got = []
+        stats = enumerate_all(g, got.append, **kw)
+        repeated.append(solution_line(g, got[0]))
+        for sol in [got[0], *got]:
+            sink(sol)
+        return stats
+
+    monkeypatch.setattr(cli, "enumerate_all", repeat_first)
+    assert main(["verify", c5_file]) == 4
+    out, err = capsys.readouterr()
+    assert out == "oracle-equivalence      FAIL\n"
+    assert err == f"cedsenum: counterexample: solution '{repeated[0]}' emitted more than once\n"
 
 
 # ---------------------------------------------------------------------------

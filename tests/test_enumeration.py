@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
     MaxVisitedExceeded,
-    VisitedIndex,
     approx_min_ceds,
     brute_force_minimal_ceds,
     enumerate_all,
     enumerate_kbest,
     initial_solution,
     min_ceds_is_singleton,
+    solution_line,
 )
 from cedsenum.corpus import random_connected_graph
 
@@ -129,15 +131,29 @@ def test_stats_json_dict(p5):
     }
 
 
-def test_visited_index():
-    index = VisitedIndex()
-    assert (0, 2) not in index
-    index.insert((0, 2))
-    index.insert((0, 2))
-    index.insert((1,))
-    assert (0, 2) in index
-    assert (1,) in index
-    assert len(index) == 2
+def _digest(lines: list[str]) -> tuple[int, str]:
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_output_order_matches_the_golden_digests():
+    """Line count and SHA-256 of the output, in order, as the union-find and
+    degree-dict helpers produced it; a change of output order shows here."""
+    g = random_connected_graph(10, 0.25, 4)
+    lines: list[str] = []
+    enumerate_all(
+        g,
+        lambda sol: lines.append(solution_line(g, sol)),
+        on_insert=lambda sol, prov: lines.append(f"{prov.trace()} -> {solution_line(g, sol)}"),
+    )
+    assert _digest(lines) == (
+        51, "50a341d3e3a1457cdd2ae9b59ffda695103030fd52a38f80afc7b04505d182bb"
+    )
+    g = random_connected_graph(14, 0.18, 8)
+    lines = []
+    enumerate_kbest(g, 20, lambda sol: lines.append(solution_line(g, sol)))
+    assert _digest(lines) == (
+        20, "de2409668f581c890fc37aa8fd65110e3890ee048f1fe2c18d92140d33be7d39"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from cedsenum import (
     spanning_tree_of,
     to_edge_list_text,
 )
+from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import NotConnectedError
 
 PROPERTY_SETTINGS = settings(
@@ -72,8 +74,9 @@ def test_from_edge_list_rejects_duplicates_in_either_order():
 def test_from_edge_list_rejects_empty_and_disconnected():
     with pytest.raises(DisconnectedError):
         Graph.from_edge_list([])
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(DisconnectedError) as exc:
         Graph.from_edge_list([(0, 1), (2, 3)])
+    assert str(exc.value) == "graph is disconnected: vertex 2 is not reachable from vertex 0"
 
 
 def test_graph_equality_and_repr(p5, c5):
@@ -186,14 +189,24 @@ def _union_find_components(edges: list[tuple[int, int]]) -> int:
     return len({find(x) for x in parent})
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
-def test_component_split_matches_union_find(seed):
+def test_component_split_matches_union_find(n, seed):
     rng = random.Random(seed)
-    g = Graph.from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (0, 2)])
+    g = random_connected_graph(n, 0.4, seed)
     picked = [e for e in range(g.m) if rng.random() < 0.6]
     comps = components_of(g, picked)
     assert sorted(e for comp in comps for e in comp) == picked
+    assert [min(comp) for comp in comps] == sorted(min(comp) for comp in comps)
+    degree = Counter(x for e in picked for x in g.edges[e])
+    pendants = []
+    for e in picked:
+        u, v = g.edges[e]
+        if degree[u] == 1:
+            pendants.append((e, u))
+        elif degree[v] == 1:
+            pendants.append((e, v))
+    assert pendant_edges(g, picked) == pendants
     if picked:
         expected = _union_find_components([g.edges[e] for e in picked])
         assert len(comps) == expected
