@@ -3,137 +3,60 @@
 Complete enumeration with polynomial delay via traversal of a strongly
 connected solution supergraph, or k-best enumeration with a constant-factor
 size guarantee, plus a brute-force oracle for validating the structure.
+
+The names below are the documented surface; the submodules hold the rest.
 """
 
-from .approx import SeedReport, approx_min_ceds
+from . import approx, ceds, enumeration, graph, neighbors, oracle
+from .approx import approx_min_ceds
 from .ceds import (
     NotCedsError,
     Solution,
-    dominates,
     enumerate_trivial,
-    is_ceds,
     is_minimal_ceds,
     min_ceds_is_singleton,
-    minimalize,
     parse_solution_line,
-    private_edges,
-    solution_from_edges,
     solution_line,
 )
-from .enumeration import (
-    EnumerationStats,
-    MaxVisitedExceeded,
-    enumerate_all,
-    enumerate_kbest,
-    initial_solution,
-)
+from .corpus import random_connected_graph
+from .enumeration import EnumerationStats, MaxVisitedExceeded, enumerate_all, enumerate_kbest
 from .graph import (
-    DisconnectedError,
-    DuplicateEdgeError,
     EdgeSet,
     Graph,
     GraphError,
-    NotConnectedError,
     ParseError,
-    SelfLoopError,
-    components_of,
-    induced_vertices,
-    is_tree,
     parse_dimacs,
     parse_edge_list,
-    pendant_edges,
     read_graph,
-    spanning_tree_of,
     to_edge_list_text,
 )
-from .neighbors import (
-    NeighborBatch,
-    NotPendantError,
-    TypeI,
-    TypeII,
-    TypeIII,
-    WSet,
-    all_neighbors,
-    type1_neighbors,
-    type2_neighbors,
-    type3_neighbor,
-    w_set,
-)
-from .oracle import (
-    ORACLE_EDGE_CAP,
-    SupergraphSnapshot,
-    TooLargeError,
-    brute_force_minimal_ceds,
-    brute_force_naive,
-    build_supergraph,
-    check_kbest_prefix_bound,
-    check_path_size_bound,
-    check_strong_connectivity,
-    contains_ceds,
-    is_minimal_ceds_by_subsets,
-    is_minimal_ceds_definitional,
-)
+from .oracle import TooLargeError, brute_force_minimal_ceds, build_supergraph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DisconnectedError",
-    "DuplicateEdgeError",
     "EdgeSet",
     "EnumerationStats",
     "Graph",
     "GraphError",
     "MaxVisitedExceeded",
-    "NeighborBatch",
     "NotCedsError",
-    "NotConnectedError",
-    "NotPendantError",
-    "ORACLE_EDGE_CAP",
     "ParseError",
-    "SeedReport",
-    "SelfLoopError",
     "Solution",
-    "SupergraphSnapshot",
     "TooLargeError",
-    "TypeI",
-    "TypeII",
-    "TypeIII",
-    "WSet",
-    "all_neighbors",
     "approx_min_ceds",
     "brute_force_minimal_ceds",
-    "brute_force_naive",
     "build_supergraph",
-    "check_kbest_prefix_bound",
-    "check_path_size_bound",
-    "check_strong_connectivity",
-    "components_of",
-    "contains_ceds",
-    "dominates",
     "enumerate_all",
     "enumerate_kbest",
     "enumerate_trivial",
-    "induced_vertices",
-    "initial_solution",
-    "is_ceds",
     "is_minimal_ceds",
-    "is_minimal_ceds_by_subsets",
-    "is_minimal_ceds_definitional",
-    "is_tree",
     "min_ceds_is_singleton",
-    "minimalize",
     "parse_dimacs",
     "parse_edge_list",
     "parse_solution_line",
-    "pendant_edges",
-    "private_edges",
+    "random_connected_graph",
     "read_graph",
-    "solution_from_edges",
     "solution_line",
-    "spanning_tree_of",
     "to_edge_list_text",
-    "type1_neighbors",
-    "type2_neighbors",
-    "type3_neighbor",
-    "w_set",
 ]

@@ -27,35 +27,41 @@ class NotCedsError(ValueError):
     """The given edge set is not a connected edge dominating set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
-    """A certified minimal CEDS.
+    """A certified minimal CEDS, held as its edge bitmask.
 
-    ``canonical_key`` is the ascending edge-index tuple; it is the dedup key
-    and the deterministic tie-breaker everywhere.
+    Solutions are equal when their masks are.  They are ordered by size,
+    then by ``canonical_key``, the ascending edge-index tuple, which is the
+    deterministic tie-breaker everywhere.
     """
 
-    edges: EdgeSet
-    canonical_key: tuple[int, ...]
-
-    @classmethod
-    def _of_mask(cls, mask: int) -> Solution:
-        es = EdgeSet.from_mask(mask)
-        return cls(es, es.indices())
-
-    @property
-    def mask(self) -> int:
-        return self.edges.mask
+    mask: int
 
     @property
     def size(self) -> int:
-        return len(self.canonical_key)
+        return self.mask.bit_count()
+
+    @property
+    def canonical_key(self) -> tuple[int, ...]:
+        return tuple(_bits(self.mask))
+
+    @property
+    def edges(self) -> EdgeSet:
+        return EdgeSet.from_mask(self.mask)
 
     def __lt__(self, other: Solution) -> bool:
-        return (self.size, self.canonical_key) < (other.size, other.canonical_key)
+        a, b = self.mask, other.mask
+        size_a, size_b = a.bit_count(), b.bit_count()
+        if size_a != size_b:
+            return size_a < size_b
+        # equal sizes: the key tuples first differ at the lowest edge in
+        # exactly one of the sets, and the set holding it is the smaller
+        diff = a ^ b
+        return bool(a & diff & -diff)
 
     def __repr__(self) -> str:
-        return f"Solution({list(self.canonical_key)})"
+        return f"Solution({list(_bits(self.mask))})"
 
 
 def dominates(g: Graph, e: int, f: int) -> bool:
@@ -155,7 +161,7 @@ def minimalize(g: Graph, x: EdgeSet | Iterable[int]) -> Solution:
     mask = _mask_of(x)
     if not _is_ceds_mask(g, mask):
         raise NotCedsError(f"not a connected edge dominating set: {EdgeSet.from_mask(mask)!r}")
-    return Solution._of_mask(_minimalize_mask(g, mask))
+    return Solution(_minimalize_mask(g, mask))
 
 
 def min_ceds_is_singleton(g: Graph) -> int | None:
@@ -219,11 +225,9 @@ def enumerate_trivial(g: Graph) -> list[Solution]:
         masks.append(star_a)
     if star_b and not only_a:
         masks.append(star_b)
-    uniq: dict[int, Solution] = {}
-    for mask in masks:
-        if mask not in uniq and is_minimal_ceds(g, EdgeSet.from_mask(mask)):
-            uniq[mask] = Solution._of_mask(mask)
-    return sorted(uniq.values())
+    return sorted(
+        Solution(mask) for mask in set(masks) if is_minimal_ceds(g, EdgeSet.from_mask(mask))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +235,8 @@ def enumerate_trivial(g: Graph) -> list[Solution]:
 
 
 def solution_line(g: Graph, s: Solution | EdgeSet | Iterable[int]) -> str:
-    edges = s.edges if isinstance(s, Solution) else EdgeSet(s)
-    return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in edges)
+    mask = s.mask if isinstance(s, Solution) else _mask_of(s)
+    return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in _bits(mask))
 
 
 def parse_solution_line(g: Graph, line: str) -> EdgeSet:
@@ -253,7 +257,7 @@ def parse_solution_line(g: Graph, line: str) -> EdgeSet:
 
 def solution_from_edges(g: Graph, s: EdgeSet | Iterable[int]) -> Solution:
     """Certify an edge set as a minimal CEDS and wrap it as a Solution."""
-    es = EdgeSet(s) if not isinstance(s, EdgeSet) else s
+    es = EdgeSet(s)
     if not is_minimal_ceds(g, es):
         raise NotCedsError(f"not a minimal connected edge dominating set: {es!r}")
-    return Solution(es, es.indices())
+    return Solution(es.mask)

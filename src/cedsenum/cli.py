@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .approx import approx_min_ceds
-from .ceds import enumerate_trivial, min_ceds_is_singleton, solution_line
+from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton, solution_line
 from .corpus import random_connected_graph
-from .enumeration import EnumerationStats, MaxVisitedExceeded, enumerate_all, enumerate_kbest
+from .enumeration import MaxVisitedExceeded, enumerate_all, enumerate_kbest
 from .graph import Graph, GraphError, ParseError, read_graph, to_edge_list_text
 from .oracle import (
     ORACLE_EDGE_CAP,
@@ -36,51 +35,34 @@ from .oracle import (
 _BENCH_HEADER = "n,m,delta,outputs,max_delay_s,mean_delay_s,expansions"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    inputs: list[str] = field(default_factory=list)
-    fmt: str = "edgelist"
-    k: int | None = None
-    n: int | None = None
-    p: float = 0.5
-    seed: int | None = None
-    max_visited: int | None = None
-    output: str = "both"
-    trace: bool = False
-    stats_file: str | None = None
-    max_edges: int = ORACLE_EDGE_CAP
-
-
 def _err(message: str) -> None:
     print(f"cedsenum: {message}", file=sys.stderr)
 
 
-def _load_graph(cfg: RunConfig) -> Graph | None:
+def _load_graph(args: argparse.Namespace) -> Graph | None:
     try:
-        return read_graph(cfg.input, cfg.fmt)
+        return read_graph(args.input, args.fmt)
     except (ParseError, GraphError, UnicodeDecodeError) as exc:
-        _err(f"{cfg.input}: {exc}")
+        _err(f"{args.input}: {exc}")
         return None
     except OSError as exc:
         _err(str(exc))
         return None
 
 
-def _write_stats(cfg: RunConfig, payload: dict) -> None:
-    if cfg.output not in ("stats", "both"):
+def _write_stats(args: argparse.Namespace, payload: dict) -> None:
+    if args.output not in ("stats", "both"):
         return
     text = json.dumps(payload, sort_keys=True)
-    if cfg.stats_file:
-        with open(cfg.stats_file, "w") as fh:
+    if args.stats_file:
+        with open(args.stats_file, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text, file=sys.stderr)
 
 
-def _solution_sink(cfg: RunConfig, g: Graph):
-    if cfg.output in ("solutions", "both"):
+def _solution_sink(args: argparse.Namespace, g: Graph):
+    if args.output in ("solutions", "both"):
         def sink(sol):
             print(solution_line(g, sol), flush=True)
     else:
@@ -89,8 +71,8 @@ def _solution_sink(cfg: RunConfig, g: Graph):
     return sink
 
 
-def _tracer(cfg: RunConfig, g: Graph):
-    if not cfg.trace:
+def _tracer(args: argparse.Namespace, g: Graph):
+    if not args.trace:
         return None
 
     def hook(sol, prov):
@@ -99,26 +81,26 @@ def _tracer(cfg: RunConfig, g: Graph):
     return hook
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     if g is None:
         return 2
     try:
         stats = enumerate_all(
-            g, _solution_sink(cfg, g), max_visited=cfg.max_visited, on_insert=_tracer(cfg, g)
+            g, _solution_sink(args, g), max_visited=args.max_visited, on_insert=_tracer(args, g)
         )
     except MaxVisitedExceeded as exc:
         _err(str(exc))
         return 3
-    _write_stats(cfg, stats.to_json_dict())
+    _write_stats(args, stats.to_json_dict())
     return 0
 
 
-def cmd_kbest(cfg: RunConfig) -> int:
-    if cfg.k is None or cfg.k < 1:
-        _err(f"kbest requires -k >= 1, got {cfg.k}")
+def cmd_kbest(args: argparse.Namespace) -> int:
+    if args.k is None or args.k < 1:
+        _err(f"kbest requires -k >= 1, got {args.k}")
         return 1
-    g = _load_graph(cfg)
+    g = _load_graph(args)
     if g is None:
         return 2
     payload: dict = {}
@@ -129,14 +111,14 @@ def cmd_kbest(cfg: RunConfig) -> int:
         payload["seed_ratio_bound"] = str(seed.observed_ratio_bound)
     try:
         stats = enumerate_kbest(
-            g, cfg.k, _solution_sink(cfg, g), max_visited=cfg.max_visited,
-            on_insert=_tracer(cfg, g),
+            g, args.k, _solution_sink(args, g), max_visited=args.max_visited,
+            on_insert=_tracer(args, g),
         )
     except MaxVisitedExceeded as exc:
         _err(str(exc))
         return 3
     payload.update(stats.to_json_dict())
-    _write_stats(cfg, payload)
+    _write_stats(args, payload)
     return 0
 
 
@@ -144,36 +126,35 @@ def _row(name: str, status: str) -> None:
     print(f"{name:<24}{status}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     if g is None:
         return 2
-    if g.m > cfg.max_edges:
-        _err(f"graph has m={g.m} edges, above the verification cap {cfg.max_edges}")
+    if g.m > args.max_edges:
+        _err(f"graph has m={g.m} edges, above the verification cap {args.max_edges}")
         return 2
-    sols = brute_force_minimal_ceds(g, max_edges=cfg.max_edges)
+    sols = brute_force_minimal_ceds(g, max_edges=args.max_edges)
     got: list = []
     enumerate_all(g, got.append)
-    oracle_keys = {s.canonical_key for s in sols}
-    got_keys: set = set()
+    oracle_masks = {s.mask for s in sols}
+    got_masks: set[int] = set()
     for sol in got:
-        if sol.canonical_key in got_keys:
+        if sol.mask in got_masks:
             _row("oracle-equivalence", "FAIL")
             _err(f"counterexample: solution '{solution_line(g, sol)}' emitted more than once")
             return 4
-        got_keys.add(sol.canonical_key)
-    if oracle_keys != got_keys:
+        got_masks.add(sol.mask)
+    if oracle_masks != got_masks:
         _row("oracle-equivalence", "FAIL")
-        diff = sorted(oracle_keys ^ got_keys)[0]
-        side = "missing from enumeration" if diff in oracle_keys else "not in oracle"
-        sol = next(s for s in sols + got if s.canonical_key == diff)
-        _err(f"counterexample: solution '{solution_line(g, sol)}' {side}")
+        diff = min(oracle_masks ^ got_masks, key=lambda mask: Solution(mask).canonical_key)
+        side = "missing from enumeration" if diff in oracle_masks else "not in oracle"
+        _err(f"counterexample: solution '{solution_line(g, Solution(diff))}' {side}")
         return 4
     _row("oracle-equivalence", f"PASS ({len(sols)} solutions)")
 
     if min_ceds_is_singleton(g) is not None:
         trivial = enumerate_trivial(g)
-        if {s.canonical_key for s in trivial} != oracle_keys:
+        if {s.mask for s in trivial} != oracle_masks:
             _row("trivial-fast-path", "FAIL")
             _err("counterexample: trivial enumeration disagrees with the oracle")
             return 4
@@ -185,7 +166,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return 0
 
     cache: dict = {}
-    snapshot = build_supergraph(g, max_edges=cfg.max_edges, neighbor_cache=cache)
+    snapshot = build_supergraph(g, max_edges=args.max_edges, neighbor_cache=cache)
     pair = _strong_connectivity_witness(snapshot)
     if pair is not None:
         _row("strong-connectivity", "FAIL")
@@ -225,12 +206,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.seed is None:
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n is None or args.seed is None:
         _err("gen requires -n and --seed")
         return 1
     try:
-        g = random_connected_graph(cfg.n, cfg.p, cfg.seed)
+        g = random_connected_graph(args.n, args.p, args.seed)
     except ValueError as exc:
         _err(str(exc))
         return 1
@@ -239,16 +220,16 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if not cfg.inputs:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if not args.inputs:
         _err("bench: no input files")
         return 1
     print(_BENCH_HEADER, flush=True)
     failed = False
-    for path in cfg.inputs:
+    for path in args.inputs:
         try:
-            g = read_graph(path, cfg.fmt)
-            stats = enumerate_all(g, lambda sol: None, max_visited=cfg.max_visited)
+            g = read_graph(path, args.fmt)
+            stats = enumerate_all(g, lambda sol: None, max_visited=args.max_visited)
         except MaxVisitedExceeded as exc:
             _err(f"bench: {path}: {exc}")
             failed = True
@@ -273,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist",
-                        help="input graph format")
+        sp.add_argument("--format", dest="fmt", choices=("edgelist", "dimacs"),
+                        default="edgelist", help="input graph format")
         sp.add_argument("--output", choices=("solutions", "stats", "both"), default="both",
                         help="which streams to emit")
         sp.add_argument("--stats-file", help="write stats JSON here instead of stderr")
@@ -298,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="edge-list file, or - for stdin")
     sp.add_argument("--max-edges", type=int, default=ORACLE_EDGE_CAP,
                     help="largest edge count the oracle will accept")
-    sp.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
+    sp.add_argument("--format", dest="fmt", choices=("edgelist", "dimacs"), default="edgelist")
 
     sp = sub.add_parser("gen", help="emit a seeded random connected graph")
     sp.add_argument("-n", type=int, help="number of vertices")
@@ -307,28 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="enumerate each input, report delays as CSV")
     sp.add_argument("inputs", nargs="*", help="edge-list files")
-    sp.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
+    sp.add_argument("--format", dest="fmt", choices=("edgelist", "dimacs"), default="edgelist")
     sp.add_argument("--max-visited", type=int)
 
     return ap
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        inputs=list(getattr(args, "inputs", []) or []),
-        fmt=getattr(args, "format", "edgelist"),
-        k=getattr(args, "k", None),
-        n=getattr(args, "n", None),
-        p=getattr(args, "p", 0.5),
-        seed=getattr(args, "seed", None),
-        max_visited=getattr(args, "max_visited", None),
-        output=getattr(args, "output", "both"),
-        trace=getattr(args, "trace", False),
-        stats_file=getattr(args, "stats_file", None),
-        max_edges=getattr(args, "max_edges", ORACLE_EDGE_CAP),
-    )
 
 
 _COMMANDS = {
@@ -342,9 +305,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except TooLargeError as exc:
         _err(str(exc))
         return 2

@@ -90,7 +90,7 @@ def _run(
         return finalize()
 
     start = approx_min_ceds(g).solution if kbest else initial_solution(g)
-    visited = {start.canonical_key}
+    visited = {start.mask}
     heap: list[Solution] = []
     queue: deque[Solution] = deque()
     if kbest:
@@ -103,21 +103,20 @@ def _run(
         if kbest and k is not None and stats.outputs >= k:
             break
         stats.expansions += 1
-        key = sol.canonical_key
         batch: NeighborBatch | None = None
         if neighbor_cache is not None:
-            batch = neighbor_cache.get(key)
+            batch = neighbor_cache.get(sol.mask)
         if batch is None:
             batch = all_neighbors(g, sol)
             if neighbor_cache is not None:
-                neighbor_cache[key] = batch
+                neighbor_cache[sol.mask] = batch
         for nb, prov in batch.items:
-            if nb.canonical_key in visited:
+            if nb.mask in visited:
                 stats.duplicates += 1
                 continue
             if max_visited is not None and len(visited) >= max_visited:
                 raise MaxVisitedExceeded(max_visited)
-            visited.add(nb.canonical_key)
+            visited.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
             if kbest:
@@ -139,9 +138,10 @@ def enumerate_all(
     """Feed every minimal CEDS of g to ``sink`` exactly once.
 
     Breadth-first from ``initial_solution``; deterministic output order.
-    ``neighbor_cache`` (a plain dict) lets callers reuse neighbor batches
-    across runs on the same graph.  Raises :class:`MaxVisitedExceeded` when
-    the optional ``max_visited`` guard trips; sink errors propagate.
+    ``neighbor_cache`` (a plain dict keyed by solution mask) lets callers
+    reuse neighbor batches across runs on the same graph.  Raises
+    :class:`MaxVisitedExceeded` when the optional ``max_visited`` guard
+    trips; sink errors propagate.
     """
     return _run(
         g, sink, kbest=False, k=None, max_visited=max_visited,

@@ -75,10 +75,6 @@ class EdgeSet:
     def mask(self) -> int:
         return self._mask
 
-    def indices(self) -> tuple[int, ...]:
-        """Member edge indices in ascending order (the canonical encoding)."""
-        return tuple(_bits(self._mask))
-
     def __contains__(self, e: int) -> bool:
         return e >= 0 and bool(self._mask >> e & 1)
 
@@ -94,31 +90,33 @@ class EdgeSet:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EdgeSet):
             return self._mask == other._mask
-        if isinstance(other, (set, frozenset)):
-            return self._mask == EdgeSet(other)._mask
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._mask)
 
-    def __or__(self, other: EdgeSet | Iterable[int]) -> EdgeSet:
-        return EdgeSet.from_mask(self._mask | EdgeSet(other)._mask)
+    def __or__(self, other: EdgeSet) -> EdgeSet:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return EdgeSet.from_mask(self._mask | other._mask)
 
-    def __and__(self, other: EdgeSet | Iterable[int]) -> EdgeSet:
-        return EdgeSet.from_mask(self._mask & EdgeSet(other)._mask)
+    def __and__(self, other: EdgeSet) -> EdgeSet:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return EdgeSet.from_mask(self._mask & other._mask)
 
-    def __sub__(self, other: EdgeSet | Iterable[int]) -> EdgeSet:
-        return EdgeSet.from_mask(self._mask & ~EdgeSet(other)._mask)
+    def __sub__(self, other: EdgeSet) -> EdgeSet:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return EdgeSet.from_mask(self._mask & ~other._mask)
 
-    def __le__(self, other: EdgeSet | Iterable[int]) -> bool:
-        om = EdgeSet(other)._mask
-        return self._mask & ~om == 0
+    def __le__(self, other: EdgeSet) -> bool:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return self._mask & ~other._mask == 0
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self)})"
-
-
-EdgeSetLike = "EdgeSet | Iterable[int]"
 
 
 def _mask_of(s: EdgeSet | Iterable[int]) -> int:
@@ -386,7 +384,12 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
 
 
 def parse_dimacs(text: str) -> list[tuple[int, int]]:
-    """Parse DIMACS `p edge n m` / `e u v` lines (1-indexed vertices)."""
+    """Parse DIMACS `p edge n m` / `e u v` lines (1-indexed vertices).
+
+    The header, if present, comes once and before every `e` line; then each
+    vertex id lies in 1..n and there are exactly m `e` lines.  A violation
+    raises :class:`ParseError` with its line number.
+    """
     pairs = []
     declared_n = None
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -397,12 +400,20 @@ def parse_dimacs(text: str) -> list[tuple[int, int]]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(line_no, f"expected 'p edge n m', got {raw.strip()!r}")
-            try:
-                declared_n = int(parts[2])
-            except ValueError:
-                raise ParseError(
-                    line_no, f"vertex count must be an integer, got {raw.strip()!r}"
-                ) from None
+            if declared_n is not None or pairs:
+                raise ParseError(line_no, "the 'p edge' header must come once, before any 'e' line")
+            counts = []
+            for what, token in (("vertex", parts[2]), ("edge", parts[3])):
+                try:
+                    counts.append(int(token))
+                except ValueError:
+                    raise ParseError(
+                        line_no, f"{what} count must be an integer, got {raw.strip()!r}"
+                    ) from None
+            declared_n, declared_m = counts
+            header_line = line_no
+            if declared_n < 1:
+                raise ParseError(line_no, f"vertex count must be at least 1, got {declared_n}")
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'e u v', got {raw.strip()!r}")
@@ -412,10 +423,18 @@ def parse_dimacs(text: str) -> list[tuple[int, int]]:
                 raise ParseError(line_no, f"vertex ids must be integers, got {raw.strip()!r}") from None
             if u < 1 or v < 1:
                 raise ParseError(line_no, "DIMACS vertices are 1-indexed")
+            if declared_n is not None and max(u, v) > declared_n:
+                raise ParseError(
+                    line_no, f"vertex {max(u, v)} is above the declared count {declared_n}"
+                )
             pairs.append((u - 1, v - 1))
         else:
             raise ParseError(line_no, f"unrecognized line {raw.strip()!r}")
     if declared_n is not None:
+        if len(pairs) != declared_m:
+            raise ParseError(
+                header_line, f"header declares {declared_m} edges, found {len(pairs)} 'e' lines"
+            )
         touched = {x for p in pairs for x in p}
         if len(touched) < declared_n:
             isolated = sorted(set(range(declared_n)) - touched)[0]
@@ -429,10 +448,12 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def read_graph(source: str | Path, fmt: str = "edgelist") -> Graph:
-    """Read a graph from a file path or `-` for standard input."""
-    if str(source) == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(source).read_text()
+    """Read a graph from a file path or `-` for standard input.
+
+    The bytes are decoded as strict UTF-8; undecodable input raises
+    :class:`UnicodeDecodeError`.
+    """
+    data = sys.stdin.buffer.read() if str(source) == "-" else Path(source).read_bytes()
+    text = data.decode("utf-8")  # strict, whatever the locale
     pairs = parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
     return Graph.from_edge_list(pairs)

@@ -61,11 +61,6 @@ class TypeIII:
 Provenance = TypeI | TypeII | TypeIII
 
 
-@dataclass(frozen=True)
-class WSet:
-    vertices: frozenset[int]
-
-
 @dataclass
 class NeighborBatch:
     origin: Solution
@@ -78,42 +73,35 @@ class NeighborBatch:
         return len(self.items)
 
 
-_UNSET = object()
-
-
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
     """Validate a candidate mask, minimalize it, and append (Solution, prov).
 
     Candidates that are not CEDS are skipped; the move constructions make
     them CEDS by design, so this is a safety net, not a filter.
     """
-    res = cache.get(cand, _UNSET)
-    if res is _UNSET:
-        res = Solution._of_mask(_minimalize_mask(g, cand)) if _is_ceds_mask(g, cand) else None
-        cache[cand] = res
+    if cand not in cache:
+        cache[cand] = Solution(_minimalize_mask(g, cand)) if _is_ceds_mask(g, cand) else None
+    res = cache[cand]
     if res is not None:
         out.append((res, prov))
 
 
-def w_set(g: Graph, x: Solution, e: int) -> WSet:
-    """Vertices off ``e`` incident to a private edge of ``e`` that is not a
-    pendant edge of the whole graph.  ``e`` must be pendant in G[x]."""
+def w_set(g: Graph, x: Solution, e: int) -> int:
+    """Vertex mask of the vertices off ``e`` incident to a private edge of
+    ``e`` that is not a pendant edge of the whole graph.  ``e`` must be
+    pendant in G[x]."""
     pend = dict(_pendant_items(g, x.mask))
     if e not in pend:
         raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
     priv = private_edges(g, x.edges, e)
     assert priv or x.size == 1, "pendant edge of a minimal CEDS must have a private edge"
-    everts = g.edge_vmask[e]
-    verts = set()
+    verts = 0
     for h in priv:
         hu, hv = g.edges[h]
         if g.degrees[hu] == 1 or g.degrees[hv] == 1:
             continue  # pendant in G
-        for w in (hu, hv):
-            if not everts >> w & 1:
-                verts.add(w)
-    assert all(g.degrees[w] >= 2 for w in verts)
-    return WSet(frozenset(verts))
+        verts |= g.edge_vmask[h]
+    return verts & ~g.edge_vmask[e]
 
 
 def type1_neighbors(
@@ -129,7 +117,7 @@ def type1_neighbors(
     cache = {} if _cache is None else _cache
     out: list[tuple[Solution, TypeI]] = []
     mask = x.mask
-    for e in x.canonical_key:
+    for e in _bits(mask):
         rest = mask ^ (1 << e)
         comps = _components_masks(g, rest)
         if len(comps) != 2:
@@ -194,26 +182,26 @@ def type3_neighbor(
         if g.degrees[hu] == 1 or g.degrees[hv] == 1:
             return None
     ws = w_set(g, x, e)
-    if not ws.vertices:
+    if not ws:
         # empty W would mean x - e is already a CEDS, contradicting the
         # minimality of x; reaching this line is a bug
         raise RuntimeError(f"empty W-set for pendant edge {e} of {x!r}")
     rest = x.mask ^ (1 << e)
     rest_verts = _vertices_mask(g, rest)
     fmask = 0
-    for w in sorted(ws.vertices):
+    for w in _bits(ws):
         f = next((h for z, h in g.adjacency[w] if rest_verts >> z & 1), None)
         if f is None:
             raise RuntimeError(f"no edge reconnects W-vertex {w} for pendant edge {e}")
         fmask |= 1 << f
-    assert fmask.bit_count() == len(ws.vertices)
+    assert fmask.bit_count() == ws.bit_count()
     out: list[tuple[Solution, TypeIII]] = []
     _consider(g, rest | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
     return out[0] if out else None
 
 
 def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
-    """All moves from x, deduplicated by canonical key, origin removed.
+    """All moves from x, deduplicated by mask, origin removed.
 
     Order is generation order: Type I, then II, then III, each internally
     deterministic, keeping the first provenance for a repeated solution.
@@ -230,11 +218,11 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
         hit = type3_neighbor(g, x, e, _cache=cache)
         if hit is not None:
             raw.append(hit)
-    seen = {x.canonical_key}
+    seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
     for sol, prov in raw:
-        if sol.canonical_key not in seen:
-            seen.add(sol.canonical_key)
+        if sol.mask not in seen:
+            seen.add(sol.mask)
             items.append((sol, prov))
     assert all(is_minimal_ceds(g, sol.edges) for sol, _ in items)
     return NeighborBatch(x, items)

@@ -87,7 +87,7 @@ def brute_force_minimal_ceds(g: Graph, *, max_edges: int = ORACLE_EDGE_CAP) -> l
     def rec(i: int, chosen: int) -> None:
         if _contains_ceds_mask(g, chosen):
             if all(not _contains_ceds_mask(g, chosen ^ (1 << e)) for e in _bits(chosen)):
-                found.append(Solution._of_mask(chosen))
+                found.append(Solution(chosen))
             return
         if i == m:
             return
@@ -104,7 +104,7 @@ def brute_force_naive(g: Graph, *, max_edges: int = 14) -> list[Solution]:
     """Unpruned cross-check of the oracle: filter all 2^m subsets."""
     _require_scale(g, max_edges)
     out = [
-        Solution._of_mask(mask)
+        Solution(mask)
         for mask in range(1, 1 << g.m)
         if is_minimal_ceds_by_subsets(g, EdgeSet.from_mask(mask))
     ]
@@ -120,8 +120,7 @@ class SupergraphSnapshot:
     """The explicit supergraph: all solutions plus the neighbor arcs."""
 
     nodes: list[Solution]
-    arcs: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
-    index: dict[tuple[int, ...], Solution]
+    arcs: dict[Solution, tuple[Solution, ...]]
 
     @property
     def node_count(self) -> int:
@@ -136,9 +135,7 @@ class SupergraphSnapshot:
 
         lines = []
         for sol in self.nodes:
-            targets = " | ".join(
-                solution_line(g, self.index[t]) for t in self.arcs[sol.canonical_key]
-            )
+            targets = " | ".join(solution_line(g, t) for t in self.arcs[sol])
             lines.append(f"{solution_line(g, sol)} -> {targets}\n")
         return "".join(lines)
 
@@ -160,25 +157,25 @@ def build_supergraph(
     if min_ceds_is_singleton(g) is not None:
         raise ValueError("trivial instance: the supergraph is not used")
     nodes = brute_force_minimal_ceds(g, max_edges=max_edges) if solutions is None else list(solutions)
-    index = {sol.canonical_key: sol for sol in nodes}
-    arcs: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    known = set(nodes)
+    arcs: dict[Solution, tuple[Solution, ...]] = {}
     for sol in nodes:
-        batch = None if neighbor_cache is None else neighbor_cache.get(sol.canonical_key)
+        batch = None if neighbor_cache is None else neighbor_cache.get(sol.mask)
         if batch is None:
             batch = all_neighbors(g, sol)
             if neighbor_cache is not None:
-                neighbor_cache[sol.canonical_key] = batch
-        targets = tuple(nb.canonical_key for nb, _ in batch.items)
-        assert all(t in index for t in targets), "neighbor outside the oracle solution set"
-        arcs[sol.canonical_key] = targets
-    return SupergraphSnapshot(nodes, arcs, index)
+                neighbor_cache[sol.mask] = batch
+        targets = tuple(nb for nb, _ in batch.items)
+        assert known.issuperset(targets), "neighbor outside the oracle solution set"
+        arcs[sol] = targets
+    return SupergraphSnapshot(nodes, arcs)
 
 
 def _reach(
-    start: tuple[int, ...],
-    adj: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
-    allowed: set[tuple[int, ...]] | None = None,
-) -> set[tuple[int, ...]]:
+    start: Solution,
+    adj: dict[Solution, tuple[Solution, ...]],
+    allowed: set[Solution] | None = None,
+) -> set[Solution]:
     seen = {start}
     stack = [start]
     while stack:
@@ -196,33 +193,25 @@ def _strong_connectivity_witness(
     """None if strongly connected, else a pair (from, to) with no path."""
     if s.node_count <= 1:
         return None
-    root = s.nodes[0].canonical_key
+    root = s.nodes[0]
     fwd = _reach(root, s.arcs)
     for sol in s.nodes:
-        if sol.canonical_key not in fwd:
-            return (s.nodes[0], sol)
-    reverse: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        if sol not in fwd:
+            return (root, sol)
+    reverse: dict[Solution, list[Solution]] = {}
     for src, targets in s.arcs.items():
         for t in targets:
             reverse.setdefault(t, []).append(src)
     bwd = _reach(root, {k: tuple(v) for k, v in reverse.items()})
     for sol in s.nodes:
-        if sol.canonical_key not in bwd:
-            return (sol, s.nodes[0])
+        if sol not in bwd:
+            return (sol, root)
     return None
 
 
 def check_strong_connectivity(s: SupergraphSnapshot) -> bool:
     """True iff every node reaches every other node."""
     return _strong_connectivity_witness(s) is None
-
-
-def _kbest_order(
-    g: Graph, neighbor_cache: dict | None = None
-) -> list[Solution]:
-    out: list[Solution] = []
-    enumerate_kbest(g, None, out.append, neighbor_cache=neighbor_cache)
-    return out
 
 
 def _kbest_prefix_witness(
@@ -242,8 +231,9 @@ def _kbest_prefix_witness(
     """
     if solutions is None:
         solutions = brute_force_minimal_ceds(g, max_edges=max_edges)
-    order = _kbest_order(g, neighbor_cache)
-    if {s.canonical_key for s in order} != {s.canonical_key for s in solutions}:
+    order: list[Solution] = []
+    enumerate_kbest(g, None, order.append, neighbor_cache=neighbor_cache)
+    if set(order) != set(solutions):
         raise AssertionError("best-first enumeration does not match the oracle set")
     sizes = [s.size for s in order]
     running_max = 0
@@ -294,18 +284,18 @@ def _path_size_witness(
     if snapshot is None:
         snapshot = build_supergraph(g, max_edges=max_edges, neighbor_cache=neighbor_cache)
     x = initial_solution(g)
-    assert x.canonical_key in snapshot.index
+    assert x in snapshot.arcs
     by_size: dict[int, list[Solution]] = {}
     for sol in snapshot.nodes:
         by_size.setdefault(sol.size, []).append(sol)
     for t, sols in sorted(by_size.items()):
         bound = x.size + 2 * t
-        allowed = {s.canonical_key for s in snapshot.nodes if s.size <= bound}
-        if x.canonical_key not in allowed:
+        allowed = {s for s in snapshot.nodes if s.size <= bound}
+        if x not in allowed:
             return sols[0]  # X itself violates the bound; cannot even start
-        reached = _reach(x.canonical_key, snapshot.arcs, allowed)
+        reached = _reach(x, snapshot.arcs, allowed)
         for y in sols:
-            if y.canonical_key not in reached:
+            if y not in reached:
                 return y
     return None
 

@@ -22,19 +22,20 @@ from cedsenum import (
     approx_min_ceds,
     brute_force_minimal_ceds,
     build_supergraph,
+    enumerate_all,
+    enumerate_trivial,
+    is_minimal_ceds,
+    min_ceds_is_singleton,
+)
+from cedsenum.ceds import is_ceds
+from cedsenum.corpus import random_corpus, tiny_corpus
+from cedsenum.graph import is_tree, spanning_tree_of
+from cedsenum.oracle import (
     check_kbest_prefix_bound,
     check_path_size_bound,
     check_strong_connectivity,
-    enumerate_all,
-    enumerate_trivial,
-    is_ceds,
-    is_minimal_ceds,
     is_minimal_ceds_definitional,
-    is_tree,
-    min_ceds_is_singleton,
-    spanning_tree_of,
 )
-from cedsenum.corpus import random_corpus, tiny_corpus
 
 # How many oracle solutions per graph get the superset/removal treatment in
 # the minimality cross-check; keeps the candidate count linear in the corpus.
@@ -247,12 +248,11 @@ def _analyze(g: Graph, report: CorpusReport) -> None:
             connect.fail(f"{where}: supergraph is not strongly connected")
 
     with _Timer(closure):
-        for key, targets in snapshot.arcs.items():
+        for src, targets in snapshot.arcs.items():
             for t in set(targets):
                 closure.checked += 1
-                sol = snapshot.index[t]
-                if not (is_minimal_ceds(g, sol.edges) and is_tree(g, sol.edges)):
-                    closure.fail(f"{where}: neighbor {t} of {key} is not minimal")
+                if not (is_minimal_ceds(g, t.edges) and is_tree(g, t.edges)):
+                    closure.fail(f"{where}: neighbor {t} of {src} is not minimal")
 
     with _Timer(path_bound):
         path_bound.checked += 1

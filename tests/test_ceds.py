@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 from cedsenum import (
     EdgeSet,
     NotCedsError,
-    dominates,
+    Solution,
     enumerate_trivial,
-    is_ceds,
     is_minimal_ceds,
     min_ceds_is_singleton,
-    minimalize,
     parse_solution_line,
-    private_edges,
-    solution_from_edges,
     solution_line,
-    spanning_tree_of,
 )
+from cedsenum.ceds import dominates, is_ceds, minimalize, private_edges, solution_from_edges
 from cedsenum.corpus import random_connected_graph
+from cedsenum.graph import spanning_tree_of
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -59,9 +56,9 @@ def test_is_ceds(p5, c5):
 
 def test_private_edges(c5):
     x = EdgeSet([0, 1, 2])
-    assert private_edges(c5, x, 0) == {4}
-    assert private_edges(c5, x, 1) == set()
-    assert private_edges(c5, x, 2) == {3}
+    assert private_edges(c5, x, 0) == EdgeSet([4])
+    assert private_edges(c5, x, 1) == EdgeSet()
+    assert private_edges(c5, x, 2) == EdgeSet([3])
     with pytest.raises(ValueError):
         private_edges(c5, x, 3)
 
@@ -181,6 +178,19 @@ def test_solution_ordering_and_repr(k23_plus):
     assert star.mask == 0b1110
 
 
+_MASKS = st.integers(min_value=1, max_value=(1 << 16) - 1)
+
+
+@given(_MASKS, _MASKS)
+@PROPERTY_SETTINGS
+def test_solution_order_is_size_then_key(a, b):
+    x, y = Solution(a), Solution(b)
+    assert x.size == len(x.canonical_key) and x.edges == EdgeSet(x.canonical_key)
+    assert (x < y) == ((x.size, x.canonical_key) < (y.size, y.canonical_key))
+    assert (x == y) == (a == b)
+    assert hash(x) == hash(Solution(a))
+
+
 def test_solution_from_edges_certifies(p5):
     sol = solution_from_edges(p5, [1, 2])
     assert sol.canonical_key == (1, 2)
@@ -191,7 +201,7 @@ def test_solution_from_edges_certifies(p5):
 def test_solution_line_round_trip(p5, c5):
     assert solution_line(p5, solution_from_edges(p5, [1, 2])) == "1-2 2-3"
     line = solution_line(c5, solution_from_edges(c5, [0, 1, 2]))
-    assert parse_solution_line(c5, line) == {0, 1, 2}
+    assert parse_solution_line(c5, line) == EdgeSet([0, 1, 2])
 
 
 def test_parse_solution_line_errors(p5):

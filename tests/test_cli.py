@@ -116,7 +116,8 @@ def test_enumerate_trace_logs_provenance(c5_file, capsys):
 
 
 def test_enumerate_reads_stdin(p5, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(to_edge_list_text(p5)))
+    stdin = io.TextIOWrapper(io.BytesIO(to_edge_list_text(p5).encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["enumerate", "-"]) == 0
     assert capsys.readouterr().out == "1-2 2-3\n"
 
@@ -136,17 +137,20 @@ def test_enumerate_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
-def _run_cli(args: list[str], stdin: bytes = b"") -> subprocess.CompletedProcess:
+def _run_cli(args: list[str], stdin: bytes = b"", **env: str) -> subprocess.CompletedProcess:
     """Run ``python -m cedsenum`` in a child process, so a traceback shows.
 
-    Files and stdin are decoded as strict UTF-8 whatever the locale.
+    The child gets no Python I/O encoding settings, so input is decoded
+    the way the program itself decodes it; ``env`` adds variables such as
+    ``LC_ALL``.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUTF8="1", PYTHONIOENCODING="utf-8:strict")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child_env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    child_env.update(env)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cedsenum", *args],
-        input=stdin, capture_output=True, env=env, timeout=60,
+        input=stdin, capture_output=True, env=child_env, timeout=60,
     )
 
 
@@ -160,6 +164,26 @@ def test_enumerate_bad_dimacs_vertex_count_exits_2(tmp_path):
     assert err.startswith("cedsenum: ") and "line 2: vertex count must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("p edge 2 1\ne 1 5\n", "line 2: vertex 5 is above the declared count 2"),
+        ("p edge -1 1\ne 1 2\n", "line 1: vertex count must be at least 1, got -1"),
+        ("p edge 3 3\ne 1 2\ne 2 3\n", "line 1: header declares 3 edges, found 2 'e' lines"),
+        ("e 1 5\np edge 2 1\n", "line 2: the 'p edge' header must come once, before any 'e' line"),
+    ],
+    ids=["vertex-above-n", "n-below-1", "edge-count-mismatch", "header-after-edges"],
+)
+def test_enumerate_dimacs_out_of_bounds_exits_2(tmp_path, text, message):
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    proc = _run_cli(["enumerate", str(path), "--format", "dimacs"])
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err == f"cedsenum: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("from_stdin", [False, True])
 def test_enumerate_non_utf8_input_exits_2(tmp_path, from_stdin):
     data = b"0 1\n1 \xff\n"
@@ -171,6 +195,15 @@ def test_enumerate_non_utf8_input_exits_2(tmp_path, from_stdin):
     err = proc.stderr.decode()
     assert "Traceback" not in err
     assert err.startswith(f"cedsenum: {source}: ") and "can't decode byte 0xff" in err
+
+
+def test_enumerate_non_utf8_stdin_in_a_c_locale_exits_2():
+    proc = _run_cli(["enumerate", "-"], stdin=b"0 1\n1 \xff\n", LC_ALL="C")
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err.startswith("cedsenum: -: ") and "can't decode byte 0xff" in err
+    assert "vertex ids must be integers" not in err
 
 
 def test_enumerate_missing_file_exits_2(tmp_path, capsys):

@@ -14,11 +14,11 @@ from cedsenum import (
     brute_force_minimal_ceds,
     enumerate_all,
     enumerate_kbest,
-    initial_solution,
     min_ceds_is_singleton,
     solution_line,
 )
 from cedsenum.corpus import random_connected_graph
+from cedsenum.enumeration import initial_solution
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,

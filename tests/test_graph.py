@@ -10,24 +10,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
-    DisconnectedError,
-    DuplicateEdgeError,
     EdgeSet,
     Graph,
     ParseError,
+    parse_dimacs,
+    parse_edge_list,
+    read_graph,
+    to_edge_list_text,
+)
+from cedsenum.corpus import random_connected_graph
+from cedsenum.graph import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    NotConnectedError,
     SelfLoopError,
     components_of,
     induced_vertices,
     is_tree,
-    parse_dimacs,
-    parse_edge_list,
     pendant_edges,
-    read_graph,
     spanning_tree_of,
-    to_edge_list_text,
 )
-from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import NotConnectedError
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -96,7 +98,7 @@ def test_edgeset_basics():
     assert 1 in s and 2 not in s
     assert bool(s)
     assert not EdgeSet([])
-    assert s.indices() == (1, 3)
+    assert tuple(s) == (1, 3)
     assert EdgeSet.from_mask(s.mask) == s
 
 
@@ -105,20 +107,22 @@ def test_edgeset_rejects_negative_indices():
         EdgeSet([2, -1])
 
 
-def test_edgeset_compares_with_builtin_sets():
+def test_edgeset_equality_and_hash():
     s = EdgeSet([0, 2])
-    assert s == {0, 2}
-    assert s == frozenset({0, 2})
-    assert s != {0, 1}
+    assert s == EdgeSet([2, 0])
+    assert s != EdgeSet([0, 1])
     assert hash(EdgeSet([0, 2])) == hash(s)
+    assert s != {0, 2}  # only an EdgeSet equals an EdgeSet
+    with pytest.raises(TypeError):
+        s | {1}
 
 
 def test_edgeset_algebra():
     a = EdgeSet([0, 1])
     b = EdgeSet([1, 2])
-    assert a | b == {0, 1, 2}
-    assert a & b == {1}
-    assert a - b == {0}
+    assert a | b == EdgeSet([0, 1, 2])
+    assert a & b == EdgeSet([1])
+    assert a - b == EdgeSet([0])
     assert EdgeSet([1]) <= a
     assert not a <= b
     assert repr(EdgeSet([2, 0])) == "EdgeSet([0, 2])"

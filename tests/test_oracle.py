@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 from cedsenum import (
     EdgeSet,
-    SupergraphSnapshot,
     TooLargeError,
     brute_force_minimal_ceds,
-    brute_force_naive,
     build_supergraph,
+)
+from cedsenum.ceds import is_ceds, solution_from_edges
+from cedsenum.corpus import random_connected_graph, tiny_corpus
+from cedsenum.oracle import (
+    SupergraphSnapshot,
+    brute_force_naive,
     check_kbest_prefix_bound,
     check_path_size_bound,
     check_strong_connectivity,
     contains_ceds,
-    is_ceds,
     is_minimal_ceds_by_subsets,
     is_minimal_ceds_definitional,
-    solution_from_edges,
 )
-from cedsenum.corpus import random_connected_graph, tiny_corpus
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -145,13 +146,9 @@ def test_build_supergraph_rejects_trivial_instances(star3):
 def test_strong_connectivity_detects_missing_return_paths(c5):
     a = solution_from_edges(c5, [0, 1, 2])
     b = solution_from_edges(c5, [1, 2, 3])
-    one_way = SupergraphSnapshot(
-        nodes=[a, b],
-        arcs={a.canonical_key: (b.canonical_key,), b.canonical_key: ()},
-        index={a.canonical_key: a, b.canonical_key: b},
-    )
+    one_way = SupergraphSnapshot(nodes=[a, b], arcs={a: (b,), b: ()})
     assert not check_strong_connectivity(one_way)
-    lone = SupergraphSnapshot(nodes=[a], arcs={a.canonical_key: ()}, index={a.canonical_key: a})
+    lone = SupergraphSnapshot(nodes=[a], arcs={a: ()})
     assert check_strong_connectivity(lone)
 
 
