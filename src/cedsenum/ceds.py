@@ -126,9 +126,18 @@ def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
 
 
 def _minimalize_mask(g: Graph, mask: int) -> int:
-    """Prune a CEDS mask to a minimal one; assumes the input is a CEDS."""
+    """Prune a CEDS mask to a minimal one; assumes the input is a CEDS.
+
+    A connected mask with one edge fewer than it has vertices is already a
+    tree, and the only spanning tree of a tree is itself, so the DFS is run
+    only on masks with a cycle.  The shortcut relies on the CEDS
+    precondition: a disconnected mask can meet the same count.
+    """
     inc = g.incident_mask
-    tree = _spanning_tree_mask(g, mask)
+    if mask.bit_count() == _vertices_mask(g, mask).bit_count() - 1:
+        tree = mask
+    else:
+        tree = _spanning_tree_mask(g, mask)
     heap = [e for e, _ in _pendant_items(g, tree)]
     heapq.heapify(heap)
     queued = set(heap)
@@ -235,12 +244,18 @@ def enumerate_trivial(g: Graph) -> list[Solution]:
 
 
 def solution_line(g: Graph, s: Solution | EdgeSet | Iterable[int]) -> str:
+    """``u-v`` pairs in ascending edge index, in internal vertex ids.
+
+    The ids are the relabeled 0..n-1, not the input's labels (the command
+    line maps them back); :func:`parse_solution_line` reads the same ids.
+    """
     mask = s.mask if isinstance(s, Solution) else _mask_of(s)
     return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in _bits(mask))
 
 
 def parse_solution_line(g: Graph, line: str) -> EdgeSet:
-    """Inverse of :func:`solution_line`; raises ValueError on unknown edges."""
+    """Inverse of :func:`solution_line`, in internal vertex ids; raises
+    ValueError on unknown edges."""
     mask = 0
     for token in line.split():
         try:

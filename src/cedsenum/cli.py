@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .approx import approx_min_ceds
-from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton, solution_line
+from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton
 from .corpus import random_connected_graph
 from .enumeration import MaxVisitedExceeded, enumerate_all, enumerate_kbest
-from .graph import Graph, GraphError, ParseError, read_graph, to_edge_list_text
+from .graph import Graph, GraphError, ParseError, _bits, read_graph, to_edge_list_text
 from .oracle import (
     ORACLE_EDGE_CAP,
     TooLargeError,
@@ -61,22 +62,38 @@ def _write_stats(args: argparse.Namespace, payload: dict) -> None:
         print(text, file=sys.stderr)
 
 
-def _solution_sink(args: argparse.Namespace, g: Graph):
+def _line_formatter(args: argparse.Namespace, g: Graph) -> Callable[[Solution], str]:
+    """Solution lines in the input's own vertex names.
+
+    Each internal vertex id maps through ``g.labels``; DIMACS ids are
+    1-based, so they get 1 added back.
+    """
+    shift = 1 if args.fmt == "dimacs" else 0
+    names = [str(label + shift) for label in g.labels]
+    pairs = [f"{names[u]}-{names[v]}" for u, v in g.edges]
+
+    def line(sol: Solution) -> str:
+        return " ".join(pairs[e] for e in _bits(sol.mask))
+
+    return line
+
+
+def _solution_sink(args: argparse.Namespace, line: Callable[[Solution], str]):
     if args.output in ("solutions", "both"):
         def sink(sol):
-            print(solution_line(g, sol), flush=True)
+            print(line(sol), flush=True)
     else:
         def sink(sol):
             pass
     return sink
 
 
-def _tracer(args: argparse.Namespace, g: Graph):
+def _tracer(args: argparse.Namespace, line: Callable[[Solution], str]):
     if not args.trace:
         return None
 
     def hook(sol, prov):
-        print(f"{prov.trace()} -> {solution_line(g, sol)}", file=sys.stderr)
+        print(f"{prov.trace()} -> {line(sol)}", file=sys.stderr)
 
     return hook
 
@@ -85,9 +102,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if g is None:
         return 2
+    line = _line_formatter(args, g)
     try:
         stats = enumerate_all(
-            g, _solution_sink(args, g), max_visited=args.max_visited, on_insert=_tracer(args, g)
+            g, _solution_sink(args, line), max_visited=args.max_visited,
+            on_insert=_tracer(args, line),
         )
     except MaxVisitedExceeded as exc:
         _err(str(exc))
@@ -109,10 +128,11 @@ def cmd_kbest(args: argparse.Namespace) -> int:
         payload["seed_size"] = seed.solution.size
         payload["seed_lower_bound"] = seed.lower_bound
         payload["seed_ratio_bound"] = str(seed.observed_ratio_bound)
+    line = _line_formatter(args, g)
     try:
         stats = enumerate_kbest(
-            g, args.k, _solution_sink(args, g), max_visited=args.max_visited,
-            on_insert=_tracer(args, g),
+            g, args.k, _solution_sink(args, line), max_visited=args.max_visited,
+            on_insert=_tracer(args, line),
         )
     except MaxVisitedExceeded as exc:
         _err(str(exc))
@@ -133,6 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if g.m > args.max_edges:
         _err(f"graph has m={g.m} edges, above the verification cap {args.max_edges}")
         return 2
+    line = _line_formatter(args, g)
     sols = brute_force_minimal_ceds(g, max_edges=args.max_edges)
     got: list = []
     enumerate_all(g, got.append)
@@ -141,14 +162,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for sol in got:
         if sol.mask in got_masks:
             _row("oracle-equivalence", "FAIL")
-            _err(f"counterexample: solution '{solution_line(g, sol)}' emitted more than once")
+            _err(f"counterexample: solution '{line(sol)}' emitted more than once")
             return 4
         got_masks.add(sol.mask)
     if oracle_masks != got_masks:
         _row("oracle-equivalence", "FAIL")
         diff = min(oracle_masks ^ got_masks, key=lambda mask: Solution(mask).canonical_key)
         side = "missing from enumeration" if diff in oracle_masks else "not in oracle"
-        _err(f"counterexample: solution '{solution_line(g, Solution(diff))}' {side}")
+        _err(f"counterexample: solution '{line(Solution(diff))}' {side}")
         return 4
     _row("oracle-equivalence", f"PASS ({len(sols)} solutions)")
 
@@ -171,8 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if pair is not None:
         _row("strong-connectivity", "FAIL")
         _err(
-            f"counterexample: no path from '{solution_line(g, pair[0])}' "
-            f"to '{solution_line(g, pair[1])}'"
+            f"counterexample: no path from '{line(pair[0])}' to '{line(pair[1])}'"
         )
         return 4
     _row(
@@ -198,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if bad is not None:
         _row("path-size-bound", "FAIL")
         _err(
-            f"counterexample: '{solution_line(g, bad)}' unreachable within "
+            f"counterexample: '{line(bad)}' unreachable within "
             f"the size bound"
         )
         return 4

@@ -203,20 +203,19 @@ class Graph:
     def _dominates_all(self, mask: int) -> bool:
         """True iff every edge of the graph shares an endpoint with ``mask``.
 
-        Equivalent to: the endpoints of ``mask`` form a vertex cover.
+        For n <= 14 the endpoints of ``mask`` are gathered into a vertex
+        mask and looked up in a table of the graph's vertex covers, built on
+        first use.  Above that, the dominator masks of the edges in ``mask``
+        are OR-ed together; each one holds the edges sharing an endpoint
+        with its edge, so the union is the whole edge set exactly when
+        ``mask`` dominates every edge.
         """
-        vm = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            vm |= self.edge_vmask[low.bit_length() - 1]
-            rest ^= low
         table = self._vc_table
         if table is None and self.n <= 14:
             table = self._build_vc_table()
         if table is not None:
-            return table[vm]
-        return all(ev & vm for ev in self.edge_vmask)
+            return table[_vertices_mask(self, mask)]
+        return _dominated_mask(self, mask) == self.all_edges_mask
 
     def _build_vc_table(self) -> list[bool]:
         evs = self.edge_vmask
@@ -241,27 +240,42 @@ class Graph:
 
 
 def _vertices_mask(g: Graph, mask: int) -> int:
+    ev = g.edge_vmask
     vm = 0
-    for e in _bits(mask):
-        vm |= g.edge_vmask[e]
+    while mask:
+        low = mask & -mask
+        vm |= ev[low.bit_length() - 1]
+        mask ^= low
     return vm
 
 
+def _dominated_mask(g: Graph, mask: int) -> int:
+    """Edges that share an endpoint with an edge of ``mask``, ``mask`` included."""
+    dom = g.dominator_mask
+    covered = 0
+    while mask:
+        low = mask & -mask
+        covered |= dom[low.bit_length() - 1]
+        mask ^= low
+    return covered
+
+
 def _component_mask(g: Graph, mask: int, e: int) -> int:
-    """Edge mask of the component of G[mask] that holds edge ``e``."""
-    comp = 1 << e
-    frontier = g.edge_vmask[e]
-    seen_v = 0
+    """Edge mask of the component of G[mask] that holds edge ``e``.
+
+    A closure over edges: each frontier edge, lowest first, pulls in the
+    edges of ``mask`` that share an endpoint with it (its dominator mask),
+    so every edge of the component is expanded once.
+    """
+    dom = g.dominator_mask
+    comp = frontier = 1 << e
+    rest = mask & ~comp
     while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        seen_v |= 1 << v
-        new_e = mask & g.incident_mask[v] & ~comp
-        comp |= new_e
-        while new_e:
-            low = new_e & -new_e
-            frontier |= g.edge_vmask[low.bit_length() - 1] & ~seen_v
-            new_e ^= low
+        low = frontier & -frontier
+        new = dom[low.bit_length() - 1] & rest
+        rest ^= new
+        comp |= new
+        frontier ^= low | new
     return comp
 
 
@@ -289,9 +303,14 @@ def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
     An isolated edge reports its smaller endpoint.
     """
     inc = g.incident_mask
+    edges = g.edges
     out = []
-    for e in _bits(mask):
-        u, v = g.edges[e]  # u < v
+    rest = mask
+    while rest:
+        low = rest & -rest
+        e = low.bit_length() - 1
+        rest ^= low
+        u, v = edges[e]  # u < v
         if (inc[u] & mask).bit_count() == 1:
             out.append((e, u))
         elif (inc[v] & mask).bit_count() == 1:

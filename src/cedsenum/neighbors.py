@@ -15,6 +15,7 @@ from .graph import (
     Graph,
     _bits,
     _components_masks,
+    _dominated_mask,
     _pendant_items,
     _vertices_mask,
 )
@@ -116,6 +117,7 @@ def type1_neighbors(
     """
     cache = {} if _cache is None else _cache
     out: list[tuple[Solution, TypeI]] = []
+    edge_vmask = g.edge_vmask
     mask = x.mask
     for e in _bits(mask):
         rest = mask ^ (1 << e)
@@ -125,10 +127,17 @@ def type1_neighbors(
         vmasks = [_vertices_mask(g, c) for c in comps]
         for i in (0, 1):
             vi, vj = vmasks[i], vmasks[1 - i]
-            for f, fverts in enumerate(g.edge_vmask):
+            # every edge with an endpoint in V(C_i) shares it with an edge
+            # of C_i, so only the edges C_i dominates need a look
+            boundary = _dominated_mask(g, comps[i]) & ~comps[i]
+            while boundary:
+                low = boundary & -boundary
+                f = low.bit_length() - 1
+                boundary ^= low
+                fverts = edge_vmask[f]
                 inside = fverts & vi
-                if not inside or inside == fverts:
-                    continue  # need exactly one endpoint in V(C_i)
+                if inside == fverts:
+                    continue  # a chord of V(C_i); need exactly one endpoint there
                 v = (fverts ^ inside).bit_length() - 1
                 for w, g2 in g.adjacency[v]:
                     if vj >> w & 1 or (g2 == f and vj >> v & 1):

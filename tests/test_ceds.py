@@ -3,6 +3,9 @@ closed-form enumeration for graphs with a single-edge solution."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,9 +20,16 @@ from cedsenum import (
     parse_solution_line,
     solution_line,
 )
-from cedsenum.ceds import dominates, is_ceds, minimalize, private_edges, solution_from_edges
+from cedsenum.ceds import (
+    _minimalize_mask,
+    dominates,
+    is_ceds,
+    minimalize,
+    private_edges,
+    solution_from_edges,
+)
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import spanning_tree_of
+from cedsenum.graph import _spanning_tree_mask, spanning_tree_of
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -111,6 +121,55 @@ def test_minimalize_returns_minimal_subset(seed, n):
     pruned = minimalize(g, tree)
     assert pruned.edges <= tree
     assert is_minimal_ceds(g, pruned.edges)
+
+
+def _random_ceds_mask(g, rng, extra):
+    """Grow a random connected edge set from one edge until it dominates
+    every edge, then add ``extra`` more edges touching it (chords make
+    cycles, the rest keep it a tree)."""
+    mask = 1 << rng.randrange(g.m)
+    while True:
+        touching = 0
+        for e in range(g.m):
+            if mask >> e & 1:
+                touching |= g.dominator_mask[e]
+        outside = [e for e in range(g.m) if touching >> e & 1 and not mask >> e & 1]
+        if touching == g.all_edges_mask:
+            if not extra or not outside:
+                return mask
+            extra -= 1
+        mask |= 1 << rng.choice(outside)
+
+
+def _minimalize_by_spanning_tree(g, mask):
+    """Minimalization without the tree shortcut: take the DFS spanning tree,
+    then remove the smallest pendant edge without a private edge while one
+    exists."""
+    tree = _spanning_tree_mask(g, mask)
+    while tree.bit_count() > 1:
+        picked = [e for e in range(g.m) if tree >> e & 1]
+        degree = Counter(x for e in picked for x in g.edges[e])
+        removable = [
+            e for e in picked
+            if 1 in (degree[g.edges[e][0]], degree[g.edges[e][1]])
+            and not private_edges(g, EdgeSet.from_mask(tree), e)
+        ]
+        if not removable:
+            break
+        tree ^= 1 << removable[0]
+    return tree
+
+
+@given(st.integers(min_value=4, max_value=20), st.integers(min_value=0, max_value=10_000))
+@PROPERTY_SETTINGS
+def test_minimalize_mask_matches_the_spanning_tree_form(n, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(n, 0.3, seed)
+    masks = [g.all_edges_mask, _spanning_tree_mask(g, g.all_edges_mask)]
+    masks += [_random_ceds_mask(g, rng, extra) for extra in (0, 0, 1, 3)]
+    for mask in masks:
+        assert is_ceds(g, EdgeSet.from_mask(mask))
+        assert _minimalize_mask(g, mask) == _minimalize_by_spanning_tree(g, mask)
 
 
 # ---------------------------------------------------------------------------

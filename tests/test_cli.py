@@ -126,7 +126,43 @@ def test_enumerate_reads_dimacs(tmp_path, capsys):
     path = tmp_path / "p5.col"
     path.write_text("c path\np edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
     assert main(["enumerate", str(path), "--format", "dimacs"]) == 0
-    assert capsys.readouterr().out == "1-2 2-3\n"
+    assert capsys.readouterr().out == "2-3 3-4\n"  # the file's own 1-based ids
+
+
+def test_dimacs_solutions_print_1_based_ids(tmp_path, capsys):
+    path = tmp_path / "k2.col"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    assert main(["enumerate", str(path), "--format", "dimacs", "--output", "solutions"]) == 0
+    assert capsys.readouterr().out == "1-2\n"
+
+
+@pytest.fixture
+def labelled_file(tmp_path):
+    """A 4-cycle 10-20-30-40 with a pendant edge 40-50: internally the
+    vertices are 0..4, so any internal id in the output shows."""
+    path = tmp_path / "labelled.edges"
+    path.write_text("10 20\n20 30\n30 40\n40 10\n40 50\n")
+    return str(path)
+
+
+def test_solution_lines_use_the_input_labels(labelled_file, capsys, monkeypatch):
+    assert main(["enumerate", labelled_file, "--output", "solutions", "--trace"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "20-30 30-40\n30-40 10-40\n10-20 10-40\n"
+    assert err == (
+        "TYPE2 e=1 path=0,3 -> 30-40 10-40\n"
+        "TYPE2 e=2 path=3,0 -> 10-20 10-40\n"
+    )
+    assert main(["kbest", labelled_file, "-k", "2", "--output", "solutions"]) == 0
+    assert capsys.readouterr().out == "20-30 30-40\n10-20 10-40\n"
+
+    monkeypatch.setattr(
+        cli, "_strong_connectivity_witness", lambda snapshot: snapshot.nodes[:2]
+    )
+    assert main(["verify", labelled_file]) == 4
+    assert capsys.readouterr().err == (
+        "cedsenum: counterexample: no path from '10-20 10-40' to '20-30 30-40'\n"
+    )
 
 
 def test_enumerate_parse_error_exits_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from cedsenum import (
     min_ceds_is_singleton,
     solution_line,
 )
-from cedsenum.corpus import random_connected_graph
+from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.enumeration import initial_solution
 
 PROPERTY_SETTINGS = settings(
@@ -135,17 +135,23 @@ def _digest(lines: list[str]) -> tuple[int, str]:
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _traced_lines(g, run, *args) -> list[str]:
+    """Solution lines in output order, with each ``on_insert`` trace."""
+    lines: list[str] = []
+    run(
+        g,
+        *args,
+        lambda sol: lines.append(solution_line(g, sol)),
+        on_insert=lambda sol, prov: lines.append(f"{prov.trace()} -> {solution_line(g, sol)}"),
+    )
+    return lines
+
+
 def test_output_order_matches_the_golden_digests():
     """Line count and SHA-256 of the output, in order, as the union-find and
     degree-dict helpers produced it; a change of output order shows here."""
     g = random_connected_graph(10, 0.25, 4)
-    lines: list[str] = []
-    enumerate_all(
-        g,
-        lambda sol: lines.append(solution_line(g, sol)),
-        on_insert=lambda sol, prov: lines.append(f"{prov.trace()} -> {solution_line(g, sol)}"),
-    )
-    assert _digest(lines) == (
+    assert _digest(_traced_lines(g, enumerate_all)) == (
         51, "50a341d3e3a1457cdd2ae9b59ffda695103030fd52a38f80afc7b04505d182bb"
     )
     g = random_connected_graph(14, 0.18, 8)
@@ -153,6 +159,28 @@ def test_output_order_matches_the_golden_digests():
     enumerate_kbest(g, 20, lambda sol: lines.append(solution_line(g, sol)))
     assert _digest(lines) == (
         20, "de2409668f581c890fc37aa8fd65110e3890ee048f1fe2c18d92140d33be7d39"
+    )
+
+
+def test_scan_path_order_matches_the_golden_digest():
+    """n > 14, so every domination test scans dominator masks rather than
+    the vertex-cover table; digest recorded before the bitmask kernels."""
+    g = random_connected_graph(20, 0.2, 11)
+    assert g.n > 14
+    assert _digest(_traced_lines(g, enumerate_kbest, 20)) == (
+        1544, "dcc97deb29cca74219d594e4bdf722d05ef5fa143197a9b7341bd73525ae1d20"
+    )
+
+
+def test_corpus_sweep_matches_the_golden_digest():
+    """All 771 tiny graphs and the first 20 random corpus graphs, each
+    enumerated in full with its traces; a kernel change that moves any
+    output or provenance shows here."""
+    lines: list[str] = []
+    for g in tiny_corpus() + random_corpus(20, 1105):
+        lines += _traced_lines(g, enumerate_all)
+    assert _digest(lines) == (
+        15254, "db707697c7c346214e57250270d8ece4fe99ef4db7381c6a816ee6514259cf05"
     )
 
 

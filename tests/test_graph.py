@@ -221,6 +221,33 @@ def test_component_split_matches_union_find(n, seed):
             )
 
 
+def _dominates_all_by_definition(g, mask):
+    picked = [e for e in range(g.m) if mask >> e & 1]
+    return all(
+        any(set(g.edges[e]) & set(g.edges[f]) for e in picked) for f in range(g.m)
+    )
+
+
+@given(
+    st.integers(min_value=4, max_value=14),
+    st.integers(min_value=15, max_value=20),
+    st.integers(min_value=0, max_value=10_000),
+)
+@PROPERTY_SETTINGS
+def test_dominates_all_matches_the_definition_on_both_paths(small_n, large_n, seed):
+    """n <= 14 looks the endpoints up in the vertex-cover table; larger
+    graphs OR the dominator masks together."""
+    rng = random.Random(seed)
+    for n in (small_n, large_n):
+        g = random_connected_graph(n, 0.3, seed)
+        for density in (0.1, 0.3, 0.6):
+            mask = sum(1 << e for e in range(g.m) if rng.random() < density)
+            assert g._dominates_all(mask) == _dominates_all_by_definition(g, mask)
+        assert g._dominates_all(g.all_edges_mask)
+        assert not g._dominates_all(0)
+        assert (g._vc_table is not None) == (n <= 14)
+
+
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cedsenum import brute_force_minimal_ceds, is_minimal_ceds, min_ceds_is_singleton
-from cedsenum.ceds import solution_from_edges
+from cedsenum import (
+    EdgeSet,
+    brute_force_minimal_ceds,
+    enumerate_kbest,
+    is_minimal_ceds,
+    min_ceds_is_singleton,
+)
+from cedsenum.ceds import is_ceds, minimalize, solution_from_edges
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import is_tree
+from cedsenum.graph import components_of, induced_vertices, is_tree
 from cedsenum.neighbors import (
     NotPendantError,
     TypeI,
@@ -94,6 +100,41 @@ def test_type3_move(c5, p5, c5_solution):
     assert prov.trace() == "TYPE3 e=0 F=3"
     # empty W-set on the path: no third-type move exists
     assert type3_neighbor(p5, solution_from_edges(p5, [1, 2]), 1) is None
+
+
+def _type1_by_full_scan(g, x):
+    """Type I moves with every edge of the graph tried as ``f``."""
+    out = []
+    for e in range(g.m):
+        if not x.mask >> e & 1:
+            continue
+        rest = x.mask ^ (1 << e)
+        comps = components_of(g, EdgeSet.from_mask(rest))
+        if len(comps) != 2:
+            continue
+        vsets = [induced_vertices(g, c) for c in comps]
+        for i in (0, 1):
+            vi, vj = vsets[i], vsets[1 - i]
+            for f, (a, b) in enumerate(g.edges):
+                if (a in vi) == (b in vi):
+                    continue
+                v = b if a in vi else a
+                for w, g2 in g.adjacency[v]:
+                    if w in vj or (g2 == f and v in vj):
+                        cand = EdgeSet.from_mask(rest | (1 << f) | (1 << g2))
+                        if is_ceds(g, cand):
+                            out.append((minimalize(g, cand), TypeI(e, f, g2)))
+    return out
+
+
+@given(st.integers(min_value=4, max_value=20), st.integers(min_value=0, max_value=10_000))
+@PROPERTY_SETTINGS
+def test_type1_matches_the_full_edge_scan(n, seed):
+    g = random_connected_graph(n, 0.3, seed)
+    xs: list = []
+    enumerate_kbest(g, 3, xs.append)
+    for x in xs:
+        assert type1_neighbors(g, x) == _type1_by_full_scan(g, x)
 
 
 # ---------------------------------------------------------------------------
