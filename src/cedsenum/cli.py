@@ -16,22 +16,13 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 
 from .approx import approx_min_ceds
-from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton
+from .ceds import Solution, min_ceds_is_singleton
 from .corpus import random_connected_graph
 from .enumeration import MaxVisitedExceeded, enumerate_all, enumerate_kbest
 from .graph import Graph, GraphError, ParseError, _bits, read_graph, to_edge_list_text
-from .oracle import (
-    ORACLE_EDGE_CAP,
-    TooLargeError,
-    _kbest_prefix_witness,
-    _path_size_witness,
-    _strong_connectivity_witness,
-    brute_force_minimal_ceds,
-    build_supergraph,
-)
+from .oracle import FAIL, ORACLE_EDGE_CAP, TooLargeError, verify_graph
 
 _BENCH_HEADER = "n,m,delta,outputs,max_delay_s,mean_delay_s,expansions"
 
@@ -51,15 +42,21 @@ def _load_graph(args: argparse.Namespace) -> Graph | None:
         return None
 
 
-def _write_stats(args: argparse.Namespace, payload: dict) -> None:
+def _write_stats(args: argparse.Namespace, payload: dict) -> int:
+    """Emit the stats JSON; 2 if the stats file cannot be written, else 0."""
     if args.output not in ("stats", "both"):
-        return
+        return 0
     text = json.dumps(payload, sort_keys=True)
     if args.stats_file:
-        with open(args.stats_file, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.stats_file, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _err(f"{args.stats_file}: {exc.strerror}")
+            return 2
     else:
         print(text, file=sys.stderr)
+    return 0
 
 
 def _line_formatter(args: argparse.Namespace, g: Graph) -> Callable[[Solution], str]:
@@ -111,8 +108,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except MaxVisitedExceeded as exc:
         _err(str(exc))
         return 3
-    _write_stats(args, stats.to_json_dict())
-    return 0
+    return _write_stats(args, stats.to_json_dict())
 
 
 def cmd_kbest(args: argparse.Namespace) -> int:
@@ -138,91 +134,20 @@ def cmd_kbest(args: argparse.Namespace) -> int:
         _err(str(exc))
         return 3
     payload.update(stats.to_json_dict())
-    _write_stats(args, payload)
-    return 0
-
-
-def _row(name: str, status: str) -> None:
-    print(f"{name:<24}{status}")
+    return _write_stats(args, payload)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if g is None:
         return 2
-    if g.m > args.max_edges:
-        _err(f"graph has m={g.m} edges, above the verification cap {args.max_edges}")
-        return 2
-    line = _line_formatter(args, g)
-    sols = brute_force_minimal_ceds(g, max_edges=args.max_edges)
-    got: list = []
-    enumerate_all(g, got.append)
-    oracle_masks = {s.mask for s in sols}
-    got_masks: set[int] = set()
-    for sol in got:
-        if sol.mask in got_masks:
-            _row("oracle-equivalence", "FAIL")
-            _err(f"counterexample: solution '{line(sol)}' emitted more than once")
+    for result in verify_graph(g, line=_line_formatter(args, g), max_edges=args.max_edges):
+        if result.status == FAIL:
+            print(f"{result.name:<24}{FAIL}")
+            _err(f"counterexample: {result.text}")
             return 4
-        got_masks.add(sol.mask)
-    if oracle_masks != got_masks:
-        _row("oracle-equivalence", "FAIL")
-        diff = min(oracle_masks ^ got_masks, key=lambda mask: Solution(mask).canonical_key)
-        side = "missing from enumeration" if diff in oracle_masks else "not in oracle"
-        _err(f"counterexample: solution '{line(Solution(diff))}' {side}")
-        return 4
-    _row("oracle-equivalence", f"PASS ({len(sols)} solutions)")
-
-    if min_ceds_is_singleton(g) is not None:
-        trivial = enumerate_trivial(g)
-        if {s.mask for s in trivial} != oracle_masks:
-            _row("trivial-fast-path", "FAIL")
-            _err("counterexample: trivial enumeration disagrees with the oracle")
-            return 4
-        max_size = max(s.size for s in trivial)
-        _row("trivial-fast-path", f"PASS ({len(trivial)} solutions, max size {max_size})")
-        _row("strong-connectivity", "SKIP (trivial instance)")
-        _row("kbest-prefix-bound", "SKIP (trivial instance)")
-        _row("path-size-bound", "SKIP (trivial instance)")
-        return 0
-
-    cache: dict = {}
-    snapshot = build_supergraph(g, max_edges=args.max_edges, neighbor_cache=cache)
-    pair = _strong_connectivity_witness(snapshot)
-    if pair is not None:
-        _row("strong-connectivity", "FAIL")
-        _err(
-            f"counterexample: no path from '{line(pair[0])}' to '{line(pair[1])}'"
-        )
-        return 4
-    _row(
-        "strong-connectivity",
-        f"PASS ({snapshot.node_count} nodes, {snapshot.arc_count} arcs)",
-    )
-
-    optimum = min(s.size for s in sols)
-    c_obs = Fraction(approx_min_ceds(g).solution.size, optimum)
-    factor = c_obs + 2
-    prefix = _kbest_prefix_witness(g, factor, solutions=sols, neighbor_cache=cache)
-    if prefix is not None:
-        k, emitted_max, left_min = prefix
-        _row("kbest-prefix-bound", "FAIL")
-        _err(
-            f"counterexample: after k={k} outputs, max emitted size {emitted_max} "
-            f"> {factor} * smallest remaining size {left_min}"
-        )
-        return 4
-    _row("kbest-prefix-bound", f"PASS (factor {factor})")
-
-    bad = _path_size_witness(g, snapshot=snapshot)
-    if bad is not None:
-        _row("path-size-bound", "FAIL")
-        _err(
-            f"counterexample: '{line(bad)}' unreachable within "
-            f"the size bound"
-        )
-        return 4
-    _row("path-size-bound", "PASS")
+        detail = f" ({result.text})" if result.text else ""
+        print(f"{result.name:<24}{result.status}{detail}")
     return 0
 
 
@@ -325,6 +250,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "max_visited", None) is not None and args.max_visited < 1:
+        _err(f"{args.command} requires --max-visited >= 1, got {args.max_visited}")
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except TooLargeError as exc:

@@ -13,9 +13,6 @@ from itertools import combinations
 
 from .graph import Graph
 
-EDGE_PROBABILITIES = (0.3, 0.5, 0.8)
-
-
 def _is_connected_cover(n: int, edges: list[tuple[int, int]]) -> bool:
     """True iff the edges touch all n vertices and form one component."""
     if not edges:

@@ -396,9 +396,12 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'u v', got {raw.strip()!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(line_no, f"vertex ids must be integers, got {raw.strip()!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(line_no, f"vertex ids must be non-negative, got {raw.strip()!r}")
+        pairs.append((u, v))
     return pairs
 
 

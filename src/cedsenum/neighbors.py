@@ -67,12 +67,6 @@ class NeighborBatch:
     origin: Solution
     items: list[tuple[Solution, Provenance]]
 
-    def solutions(self) -> list[Solution]:
-        return [sol for sol, _ in self.items]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
     """Validate a candidate mask, minimalize it, and append (Solution, prov).

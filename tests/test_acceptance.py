@@ -8,7 +8,24 @@ echoed in the terminal summary section after the run.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from cedsenum.cli import main
+from cedsenum.oracle import FAIL, SKIP
+
+
+def _tally(corpus_report, name: str) -> SimpleNamespace:
+    """One check's results summed over the corpus, with up to five failures."""
+    results = corpus_report[name]
+    failures = [r.text for r in results if r.status == FAIL]
+    return SimpleNamespace(
+        checked=sum(r.checked for r in results),
+        skipped=sum(r.status == SKIP for r in results),
+        seconds=sum(r.seconds for r in results),
+        figures=[r.figures for r in results],
+        failure_count=len(failures),
+        detail="\n".join(failures[:5]),
+    )
 
 
 def _verdict(tally, *, budget_s: float | None = None) -> str:
@@ -20,72 +37,74 @@ def _verdict(tally, *, budget_s: float | None = None) -> str:
 
 def test_criterion_1_oracle_equivalence(corpus_report, criterion_log):
     """Full enumeration set-equals the brute-force oracle on every graph."""
-    tally = corpus_report.tallies["oracle_equivalence"]
+    tally = _tally(corpus_report, "oracle-equivalence")
+    solutions = sum(f.get("solutions", 0) for f in tally.figures)
     criterion_log(
         f"criterion 1 (oracle equivalence): {_verdict(tally, budget_s=300)} "
-        f"[{tally.checked} graphs, {corpus_report.solutions} solutions, "
+        f"[{tally.checked} graphs, {solutions} solutions, "
         f"{tally.seconds:.1f}s]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
     assert tally.seconds < 300
 
 
 def test_criterion_2_minimality_agreement(corpus_report, criterion_log):
     """The pendant/private-edge minimality test agrees with the definitional
     proper-subset test on every CEDS the sweep encounters."""
-    tally = corpus_report.tallies["minimality_agreement"]
+    tally = _tally(corpus_report, "minimality-agreement")
     criterion_log(
         f"criterion 2 (minimality characterization): {_verdict(tally, budget_s=120)} "
         f"[{tally.checked} edge sets, {tally.seconds:.1f}s]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
     assert tally.seconds < 120
 
 
 def test_criterion_3_neighbor_closure(corpus_report, criterion_log):
     """Every neighbor produced during the sweep is a minimal CEDS and a tree."""
-    tally = corpus_report.tallies["neighbor_closure"]
+    tally = _tally(corpus_report, "neighbor-closure")
     criterion_log(
         f"criterion 3 (neighbor closure): {_verdict(tally)} "
         f"[{tally.checked} arcs, {tally.skipped} trivial graphs skipped]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
 
 
 def test_criterion_4_strong_connectivity(corpus_report, criterion_log):
     """Every corpus supergraph is strongly connected.  Trivial instances have
     no supergraph: their solutions come from the closed form."""
-    tally = corpus_report.tallies["strong_connectivity"]
+    tally = _tally(corpus_report, "strong-connectivity")
     criterion_log(
         f"criterion 4 (strong connectivity): {_verdict(tally)} "
         f"[{tally.checked} supergraphs, {tally.skipped} trivial graphs skipped]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
 
 
 def test_criterion_5_path_size_bound(corpus_report, criterion_log):
     """Every solution is reachable from the start solution through nodes of
     size at most |start| + 2|target|."""
-    tally = corpus_report.tallies["path_size_bound"]
+    tally = _tally(corpus_report, "path-size-bound")
     criterion_log(
         f"criterion 5 (path size bound): {_verdict(tally)} "
         f"[{tally.checked} supergraphs, {tally.skipped} trivial graphs skipped]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
 
 
 def test_criterion_6_kbest_prefix_guarantee(corpus_report, criterion_log):
     """Best-first prefixes stay within factor (c_obs + 2) of the smallest
     non-emitted solution for every k, the factor-4 variant holds wherever the
     seed ratio c_obs is at most 2, and the seed ratio never exceeds 2."""
-    tally = corpus_report.tallies["kbest_prefix"]
+    tally = _tally(corpus_report, "kbest-prefix-bound")
+    max_seed_ratio = max(f["seed_ratio"] for f in tally.figures if "seed_ratio" in f)
     criterion_log(
         f"criterion 6 (k-best prefix guarantee): {_verdict(tally, budget_s=600)} "
-        f"[{tally.checked} graphs, max seed ratio {corpus_report.max_seed_ratio}, "
+        f"[{tally.checked} graphs, max seed ratio {max_seed_ratio}, "
         f"{tally.seconds:.1f}s]"
     )
-    assert tally.failure_count == 0, tally.detail()
-    assert corpus_report.max_seed_ratio <= 2
+    assert tally.failure_count == 0, tally.detail
+    assert max_seed_ratio <= 2
     assert tally.seconds < 600
 
 
@@ -103,24 +122,26 @@ def test_criterion_7_trivial_fast_path(corpus_report, criterion_log):
     in the ``k23_plus`` fixture each hub's three-edge star is a minimal CEDS,
     since dropping a spoke a-w leaves the edge b-w undominated.
     """
-    tally = corpus_report.tallies["trivial_fast_path"]
+    tally = _tally(corpus_report, "trivial-fast-path")
+    stars = sum(f.get("hub_stars", 0) for f in tally.figures)
     criterion_log(
         f"criterion 7 (trivial fast path): {_verdict(tally)} "
-        f"[{tally.checked} trivial graphs, {corpus_report.trivial_stars} full hub stars, "
+        f"[{tally.checked} trivial graphs, {stars} full hub stars, "
         f"{tally.failure_count} oracle mismatches or star-bound violations]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
 
 
 def test_criterion_8_out_degree_bound(corpus_report, criterion_log):
     """No solution has more neighbors than 8 * n * m * max_degree."""
-    tally = corpus_report.tallies["out_degree"]
+    tally = _tally(corpus_report, "out-degree-bound")
+    widest = max(tally.figures, key=lambda f: f.get("widest", -1))
     criterion_log(
         f"criterion 8 (out-degree bound): {_verdict(tally)} "
-        f"[{tally.checked} supergraphs, widest {corpus_report.max_out_degree} "
-        f"vs bound {corpus_report.out_degree_bound_at_max}]"
+        f"[{tally.checked} supergraphs, widest {widest.get('widest')} "
+        f"vs bound {widest.get('bound')}]"
     )
-    assert tally.failure_count == 0, tally.detail()
+    assert tally.failure_count == 0, tally.detail
 
 
 def test_criterion_9_delay_benchmark(tmp_path, capsys, criterion_log):

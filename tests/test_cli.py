@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from cedsenum import (
+    Solution,
     enumerate_all,
     is_minimal_ceds,
+    oracle,
     parse_solution_line,
     read_graph,
     solution_line,
@@ -157,7 +159,7 @@ def test_solution_lines_use_the_input_labels(labelled_file, capsys, monkeypatch)
     assert capsys.readouterr().out == "20-30 30-40\n10-20 10-40\n"
 
     monkeypatch.setattr(
-        cli, "_strong_connectivity_witness", lambda snapshot: snapshot.nodes[:2]
+        oracle, "_strong_connectivity_witness", lambda snapshot: snapshot.nodes[:2]
     )
     assert main(["verify", labelled_file]) == 4
     assert capsys.readouterr().err == (
@@ -247,6 +249,35 @@ def test_enumerate_missing_file_exits_2(tmp_path, capsys):
     assert "cedsenum:" in capsys.readouterr().err
 
 
+def test_enumerate_unwritable_stats_file_exits_2(p5, tmp_path):
+    target = tmp_path / "absent" / "stats.json"
+    proc = _run_cli(["enumerate", "--stats-file", str(target), "-"],
+                    stdin=to_edge_list_text(p5).encode())
+    assert proc.returncode == 2
+    assert proc.stdout == b"1-2 2-3\n"
+    assert proc.stderr.decode() == f"cedsenum: {target}: No such file or directory\n"
+
+
+def test_edge_list_rejects_negative_ids(tmp_path, capsys):
+    path = tmp_path / "negative.edges"
+    path.write_text("-1 2\n2 3\n3 -1\n3 4\n")
+    assert main(["enumerate", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"cedsenum: {path}: line 1: vertex ids must be non-negative, got '-1 2'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["enumerate"], ["kbest", "-k", "1"], ["bench"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_max_visited_below_1_is_a_usage_error(c5_file, capsys, command, limit):
+    assert main([*command, c5_file, "--max-visited", limit]) == 1
+    assert capsys.readouterr() == (
+        "", f"cedsenum: {command[0]} requires --max-visited >= 1, got {limit}\n"
+    )
+
+
 def test_enumerate_max_visited_exits_3(c5_file, capsys):
     assert main(["enumerate", c5_file, "--max-visited", "2"]) == 3
     _, err = capsys.readouterr()
@@ -295,35 +326,75 @@ def test_kbest_requires_a_positive_k(c5_file, capsys):
 # verify
 
 
+_VERIFY_ROWS = {
+    "p5": (
+        "oracle-equivalence      PASS (1 solutions)\n"
+        "minimality-agreement    PASS (7 edge sets)\n"
+        "trivial-fast-path       SKIP (non-trivial instance)\n"
+        "neighbor-closure        PASS (0 arcs)\n"
+        "strong-connectivity     PASS (1 nodes, 0 arcs)\n"
+        "kbest-prefix-bound      PASS (factor 3)\n"
+        "path-size-bound         PASS\n"
+        "out-degree-bound        PASS (widest 0, bound 320)\n"
+    ),
+    "c5": (
+        "oracle-equivalence      PASS (5 solutions)\n"
+        "minimality-agreement    PASS (22 edge sets)\n"
+        "trivial-fast-path       SKIP (non-trivial instance)\n"
+        "neighbor-closure        PASS (18 arcs)\n"
+        "strong-connectivity     PASS (5 nodes, 18 arcs)\n"
+        "kbest-prefix-bound      PASS (factor 3)\n"
+        "path-size-bound         PASS\n"
+        "out-degree-bound        PASS (widest 4, bound 400)\n"
+    ),
+    "star": (
+        "oracle-equivalence      PASS (3 solutions)\n"
+        "minimality-agreement    PASS (14 edge sets)\n"
+        "trivial-fast-path       PASS (3 solutions, max size 1)\n"
+        "neighbor-closure        SKIP (trivial instance)\n"
+        "strong-connectivity     SKIP (trivial instance)\n"
+        "kbest-prefix-bound      PASS (factor 3)\n"
+        "path-size-bound         SKIP (trivial instance)\n"
+        "out-degree-bound        SKIP (trivial instance)\n"
+    ),
+}
+
+
 def test_verify_passes_on_small_graphs(p5_file, c5_file, capsys):
-    for path in (p5_file, c5_file):
+    for name, path in (("p5", p5_file), ("c5", c5_file)):
         assert main(["verify", path]) == 0
-        out, _ = capsys.readouterr()
-        assert "oracle-equivalence" in out
-        assert "strong-connectivity" in out
-        assert "kbest-prefix-bound" in out
-        assert "path-size-bound" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr() == (_VERIFY_ROWS[name], "")
 
 
 def test_verify_trivial_instance_skips_supergraph_rows(star_file, capsys):
     assert main(["verify", star_file]) == 0
     out, _ = capsys.readouterr()
-    assert "trivial-fast-path" in out
-    assert out.count("SKIP") == 3
-    assert "FAIL" not in out
+    assert out == _VERIFY_ROWS["star"]
+    assert out.count("SKIP") == 4
 
 
 def test_verify_rejects_oversized_input(c5_file, capsys):
     assert main(["verify", c5_file, "--max-edges", "3"]) == 2
-    assert "above the verification cap" in capsys.readouterr().err
+    assert "above the oracle cap 3" in capsys.readouterr().err
+
+
+def test_verify_checks_the_cap_before_any_check(c5_file, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumeration ran above the oracle cap")
+
+    monkeypatch.setattr(oracle, "enumerate_all", unreachable)
+    monkeypatch.setattr(oracle, "brute_force_minimal_ceds", unreachable)
+    assert main(["verify", c5_file, "--max-edges", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cedsenum: graph has m=5 edges, above the oracle cap 3\n"
 
 
 def test_verify_reports_counterexamples(c5_file, capsys, monkeypatch):
     def fake_witness(snapshot):
         return snapshot.nodes[0], snapshot.nodes[1]
 
-    monkeypatch.setattr(cli, "_strong_connectivity_witness", fake_witness)
+    monkeypatch.setattr(oracle, "_strong_connectivity_witness", fake_witness)
     assert main(["verify", c5_file]) == 4
     out, err = capsys.readouterr()
     assert "strong-connectivity" in out and "FAIL" in out
@@ -331,9 +402,9 @@ def test_verify_reports_counterexamples(c5_file, capsys, monkeypatch):
 
 
 def test_verify_exits_4_when_the_oracle_disagrees(c5_file, capsys, monkeypatch):
-    real = cli.brute_force_minimal_ceds
+    real = oracle.brute_force_minimal_ceds
     monkeypatch.setattr(
-        cli, "brute_force_minimal_ceds", lambda g, **kw: real(g, **kw)[1:]
+        oracle, "brute_force_minimal_ceds", lambda g, **kw: real(g, **kw)[1:]
     )
     assert main(["verify", c5_file]) == 4
     out, err = capsys.readouterr()
@@ -352,11 +423,53 @@ def test_verify_exits_4_on_a_repeated_solution(c5_file, capsys, monkeypatch):
             sink(sol)
         return stats
 
-    monkeypatch.setattr(cli, "enumerate_all", repeat_first)
+    monkeypatch.setattr(oracle, "enumerate_all", repeat_first)
     assert main(["verify", c5_file]) == 4
     out, err = capsys.readouterr()
     assert out == "oracle-equivalence      FAIL\n"
     assert err == f"cedsenum: counterexample: solution '{repeated[0]}' emitted more than once\n"
+
+
+def _add_arcs(targets):
+    """A ``build_supergraph`` fake: ``targets(g, snapshot)`` join the first node's arcs."""
+    def wrap(real):
+        def fake(g, **kw):
+            snapshot = real(g, **kw)
+            snapshot.arcs[snapshot.nodes[0]] += targets(g, snapshot)
+            return snapshot
+        return fake
+    return wrap
+
+
+@pytest.mark.parametrize(
+    ("attr", "fake", "row", "message"),
+    [
+        ("enumerate_kbest",  # drops the solution with edges 2, 3, 4 from the order
+         lambda real: lambda g, k, sink, **kw: real(g, k, lambda s: s.mask == 28 or sink(s), **kw),
+         "kbest-prefix-bound",
+         "solution '2-3 3-4 0-4' missing from best-first enumeration"),
+        ("build_supergraph", _add_arcs(lambda g, s: (Solution(g.all_edges_mask),)),
+         "neighbor-closure",
+         "neighbor '0-1 1-2 2-3 3-4 0-4' of '0-1 1-2 2-3' is outside the oracle set"),
+        ("is_minimal_ceds_definitional", lambda real: lambda g, s: not real(g, s),
+         "minimality-agreement", "minimality tests split on '0-1 1-2 2-3'"),
+        ("is_tree", lambda real: lambda g, s: False, "neighbor-closure",
+         "neighbor '2-3 3-4 0-4' of '0-1 1-2 2-3' is not a minimal CEDS tree"),
+        ("build_supergraph", _add_arcs(lambda g, s: tuple(s.nodes) * 80), "out-degree-bound",
+         "out-degree 404 exceeds 8*n*m*delta = 400"),
+    ],
+    ids=["best-first-mismatch", "neighbor-outside-oracle", "minimality-split",
+         "neighbor-not-a-tree", "out-degree"],
+)
+def test_verify_fault_gives_a_fail_row(c5_file, capsys, monkeypatch, attr, fake, row, message):
+    monkeypatch.setattr(oracle, attr, fake(getattr(oracle, attr)))
+    assert main(["verify", c5_file]) == 4
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    names = [r.split()[0] for r in _VERIFY_ROWS["c5"].splitlines()]
+    assert [r.split()[0] for r in rows] == names[: len(rows)]
+    assert rows[-1] == f"{row:<24}FAIL" and "FAIL" not in "".join(rows[:-1])
+    assert err == f"cedsenum: counterexample: {message}\n"
 
 
 # ---------------------------------------------------------------------------

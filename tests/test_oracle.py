@@ -14,18 +14,23 @@ from cedsenum import (
     TooLargeError,
     brute_force_minimal_ceds,
     build_supergraph,
+    enumerate_kbest,
+    oracle,
 )
 from cedsenum.ceds import is_ceds, solution_from_edges
 from cedsenum.corpus import random_connected_graph, tiny_corpus
+from cedsenum.enumeration import initial_solution
 from cedsenum.oracle import (
+    FAIL,
     SupergraphSnapshot,
+    _contains_ceds_mask,
+    _kbest_prefix_witness,
+    _path_size_witness,
+    _strong_connectivity_witness,
     brute_force_naive,
-    check_kbest_prefix_bound,
-    check_path_size_bound,
-    check_strong_connectivity,
-    contains_ceds,
     is_minimal_ceds_by_subsets,
     is_minimal_ceds_definitional,
+    verify_graph,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -108,7 +113,7 @@ def test_contains_ceds_collapses_to_the_predicate(seed):
     rng = random.Random(seed)
     g = random_connected_graph(6, 0.5, seed)
     s = EdgeSet(e for e in range(g.m) if rng.random() < 0.5)
-    assert contains_ceds(g, s) == is_ceds(g, s)
+    assert _contains_ceds_mask(g, s.mask) == is_ceds(g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +122,16 @@ def test_contains_ceds_collapses_to_the_predicate(seed):
 
 def test_build_supergraph_path(p5):
     snapshot = build_supergraph(p5)
-    assert snapshot.node_count == 1
-    assert snapshot.arc_count == 0
-    assert snapshot.to_text(p5) == "1-2 2-3 -> \n"
+    assert len(snapshot.nodes) == 1
+    assert snapshot.arcs == {snapshot.nodes[0]: ()}
 
 
 def test_build_supergraph_cycle(c5):
     snapshot = build_supergraph(c5)
-    assert snapshot.node_count == 5
-    assert snapshot.arc_count == 18
+    assert len(snapshot.nodes) == 5
+    assert sum(map(len, snapshot.arcs.values())) == 18
     assert all(len(targets) >= 1 for targets in snapshot.arcs.values())
-    assert check_strong_connectivity(snapshot)
-    for line in snapshot.to_text(c5).splitlines():
-        assert " -> " in line and " | " in line
+    assert _strong_connectivity_witness(snapshot) is None
 
 
 def test_build_supergraph_accepts_precomputed_solutions(c5):
@@ -147,38 +149,53 @@ def test_strong_connectivity_detects_missing_return_paths(c5):
     a = solution_from_edges(c5, [0, 1, 2])
     b = solution_from_edges(c5, [1, 2, 3])
     one_way = SupergraphSnapshot(nodes=[a, b], arcs={a: (b,), b: ()})
-    assert not check_strong_connectivity(one_way)
+    assert _strong_connectivity_witness(one_way) == (b, a)
+    other_way = SupergraphSnapshot(nodes=[a, b], arcs={a: (), b: (a,)})
+    assert _strong_connectivity_witness(other_way) == (a, b)
     lone = SupergraphSnapshot(nodes=[a], arcs={a: ()})
-    assert check_strong_connectivity(lone)
+    assert _strong_connectivity_witness(lone) is None
 
 
 # ---------------------------------------------------------------------------
 # Bounds
 
 
+def _best_first_sizes(g):
+    order = []
+    enumerate_kbest(g, None, order.append)
+    return [s.size for s in order]
+
+
 def test_kbest_prefix_bound(p5, c5, k23):
-    assert check_kbest_prefix_bound(c5, Fraction(4))
-    assert check_kbest_prefix_bound(p5, Fraction(4))  # vacuous: one solution
-    assert check_kbest_prefix_bound(k23, Fraction(1))
-    assert not check_kbest_prefix_bound(k23, Fraction(9, 10))
+    assert _kbest_prefix_witness(_best_first_sizes(c5), Fraction(4)) is None
+    assert _kbest_prefix_witness(_best_first_sizes(p5), Fraction(4)) is None  # one solution
+    assert _kbest_prefix_witness(_best_first_sizes(k23), Fraction(1)) is None
+    assert _kbest_prefix_witness(_best_first_sizes(k23), Fraction(9, 10)) == (1, 2, 2)
 
 
-def test_kbest_prefix_bound_validates_the_solution_list(c5):
-    sols = brute_force_minimal_ceds(c5)
-    with pytest.raises(AssertionError, match="does not match the oracle"):
-        check_kbest_prefix_bound(c5, Fraction(4), solutions=sols[:1])
+def test_kbest_prefix_bound_validates_the_solution_list(c5, monkeypatch):
+    real = oracle.brute_force_minimal_ceds
+    monkeypatch.setattr(oracle, "brute_force_minimal_ceds", lambda g, **kw: real(g, **kw)[:1])
+    rows = {r.name: r for r in verify_graph(c5)}
+    assert rows["kbest-prefix-bound"].status == FAIL
+    assert rows["kbest-prefix-bound"].text.endswith("not in oracle")
 
 
 def test_path_size_bound(p5, c5, k23):
-    assert check_path_size_bound(p5)
-    assert check_path_size_bound(c5)
-    assert check_path_size_bound(k23)
-    snapshot = build_supergraph(c5)
-    assert check_path_size_bound(c5, snapshot=snapshot)
+    for g in (p5, c5, k23):
+        assert _path_size_witness(g, build_supergraph(g)) is None
+    nodes = build_supergraph(c5).nodes
+    cut = SupergraphSnapshot(nodes, {s: () for s in nodes})  # no moves at all
+    assert _path_size_witness(c5, cut) == next(s for s in nodes if s != initial_solution(c5))
 
 
 def test_bound_checks_respect_the_scale_cap(c5):
     with pytest.raises(TooLargeError):
-        check_path_size_bound(c5, max_edges=2)
+        build_supergraph(c5, max_edges=2)
     with pytest.raises(TooLargeError):
-        check_kbest_prefix_bound(c5, Fraction(4), max_edges=2)
+        next(verify_graph(c5, max_edges=2))
+
+
+def test_verify_graph_accepts_both_hub_stars(k23_plus):
+    row = next(r for r in verify_graph(k23_plus) if r.name == "trivial-fast-path")
+    assert (row.status, row.figures) == ("PASS", {"hub_stars": 2})
