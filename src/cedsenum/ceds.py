@@ -17,9 +17,8 @@ from .graph import (
     _bits,
     _is_connected_mask,
     _mask_of,
-    _pendant_items,
     _spanning_tree_mask,
-    _vertices_mask,
+    _vertex_degree_masks,
 )
 
 
@@ -96,33 +95,35 @@ def private_edges(g: Graph, s: EdgeSet | Iterable[int], f: int) -> EdgeSet:
     return EdgeSet.from_mask(out)
 
 
-def _pendant_has_private(g: Graph, mask: int, e: int, pendant_vertex: int) -> bool:
-    # for a pendant edge of a set with >= 2 edges, the private edges are
-    # exactly the edges joining the pendant vertex to vertices outside V(s)
-    for w, h in g.adjacency[pendant_vertex]:
-        if h != e and not g.incident_mask[w] & mask:
-            return True
-    return False
-
-
 def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
     """True iff s is a CEDS and no proper subset of s is one.
 
     Decided structurally: a minimal CEDS induces a tree, a single-edge CEDS
-    is always minimal, and a multi-edge tree CEDS is minimal exactly when
-    each of its pendant edges has a private edge.
+    is always minimal, and a tree CEDS T with two or more edges is minimal
+    exactly when the pendant edge at each leaf ``ell`` has a private edge.
+    That is one word test, ``neighbor_vmask[ell] & ~V(T) != 0``, and it is
+    exact: the leaf's parent p has another tree edge, which dominates every
+    edge at p, so a private edge must join ``ell`` to some w != p, and it is
+    private iff no tree edge touches w, that is, iff w lies outside V(T).
+    The edge back to p never counts, since p lies inside V(T).
     """
     mask = _mask_of(s)
     if not _is_ceds_mask(g, mask):
         return False
     if mask.bit_count() == 1:
         return True
+    vm, inner = _vertex_degree_masks(g, mask)
     # connectivity is known, so tree-ness is the edge/vertex count identity
-    if mask.bit_count() != _vertices_mask(g, mask).bit_count() - 1:
+    if mask.bit_count() != vm.bit_count() - 1:
         return False
-    return all(
-        _pendant_has_private(g, mask, e, ell) for e, ell in _pendant_items(g, mask)
-    )
+    nbr, outside = g.neighbor_vmask, ~vm
+    leaves = vm & ~inner
+    while leaves:
+        low = leaves & -leaves
+        if not nbr[low.bit_length() - 1] & outside:
+            return False
+        leaves ^= low
+    return True
 
 
 def _minimalize_mask(g: Graph, mask: int) -> int:
@@ -132,25 +133,41 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
     tree, and the only spanning tree of a tree is itself, so the DFS is run
     only on masks with a cycle.  The shortcut relies on the CEDS
     precondition: a disconnected mask can meet the same count.
+
+    The pendant edges of the tree T are then tried smallest first.  The
+    edge at leaf ``ell`` stays iff ``neighbor_vmask[ell] & ~V(T)`` is nonzero,
+    the exact private-edge test of :func:`is_minimal_ceds`; otherwise it is
+    removed, ``ell`` leaves V(T), and the other endpoint is queued if it is
+    now a leaf.  V(T) comes from the same walk as the tree test, since a
+    spanning tree keeps every vertex.
     """
-    inc = g.incident_mask
-    if mask.bit_count() == _vertices_mask(g, mask).bit_count() - 1:
+    inc, nbr = g.incident_mask, g.neighbor_vmask
+    vm, inner = _vertex_degree_masks(g, mask)
+    if mask.bit_count() == vm.bit_count() - 1:
         tree = mask
     else:
         tree = _spanning_tree_mask(g, mask)
-    heap = [e for e, _ in _pendant_items(g, tree)]
-    heapq.heapify(heap)
+        inner = _vertex_degree_masks(g, tree)[1]
+    # the pendant edge at each leaf; a single edge is listed twice and the
+    # loop stops at once
+    heap = []
+    leaves = vm & ~inner
+    while leaves:
+        low = leaves & -leaves
+        heap.append((inc[low.bit_length() - 1] & tree).bit_length() - 1)
+        leaves ^= low
+    heap.sort()  # a sorted list is a heap
     queued = set(heap)
     while heap:
         e = heapq.heappop(heap)
         if tree == 1 << e:
             break  # a single edge is always minimal; never remove it
         u, v = g.edges[e]
-        ell = u if (inc[u] & tree).bit_count() == 1 else v
-        if _pendant_has_private(g, tree, e, ell):
+        ell, other = (u, v) if inc[u] & tree == 1 << e else (v, u)
+        if nbr[ell] & ~vm:
             continue  # private edges survive later removals, so e is settled
         tree ^= 1 << e
-        other = v if ell == u else u
+        vm ^= 1 << ell
         rest = inc[other] & tree
         if rest.bit_count() == 1:
             f = rest.bit_length() - 1

@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
+from contextlib import ExitStack
 
-from .approx import approx_min_ceds
-from .ceds import Solution, min_ceds_is_singleton
+from .ceds import Solution
 from .corpus import random_connected_graph
 from .enumeration import MaxVisitedExceeded, enumerate_all, enumerate_kbest
 from .graph import Graph, GraphError, ParseError, _bits, read_graph, to_edge_list_text
@@ -42,20 +42,41 @@ def _load_graph(args: argparse.Namespace) -> Graph | None:
         return None
 
 
-def _write_stats(args: argparse.Namespace, payload: dict) -> int:
-    """Emit the stats JSON; 2 if the stats file cannot be written, else 0."""
-    if args.output not in ("stats", "both"):
-        return 0
-    text = json.dumps(payload, sort_keys=True)
-    if args.stats_file:
+def _report(args: argparse.Namespace, g: Graph, run: Callable) -> int:
+    """Stream the solutions of ``run(sink, on_insert)`` and emit its stats JSON.
+
+    The stats file is opened, and truncated, before the run, so an
+    unwritable path exits 2 before any solution is printed.  Returns 2 if
+    the stats file cannot be opened or written, 3 if the visited limit
+    trips, else 0.
+    """
+    wants_stats = args.output in ("stats", "both")
+    with ExitStack() as stack:
+        out = sys.stderr
+        if wants_stats and args.stats_file:
+            try:
+                out = stack.enter_context(open(args.stats_file, "w"))
+            except OSError as exc:
+                _err(f"{args.stats_file}: {exc.strerror}")
+                return 2
+        line = _line_formatter(args, g)
         try:
-            with open(args.stats_file, "w") as fh:
-                fh.write(text + "\n")
+            stats = run(_solution_sink(args, line), _tracer(args, line))
+        except MaxVisitedExceeded as exc:
+            _err(str(exc))
+            return 3
+        if not wants_stats:
+            return 0
+        text = json.dumps(stats.to_json_dict(), sort_keys=True)
+        if out is sys.stderr:
+            print(text, file=out)
+            return 0
+        try:
+            out.write(text + "\n")
+            out.flush()
         except OSError as exc:
             _err(f"{args.stats_file}: {exc.strerror}")
             return 2
-    else:
-        print(text, file=sys.stderr)
     return 0
 
 
@@ -99,16 +120,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if g is None:
         return 2
-    line = _line_formatter(args, g)
-    try:
-        stats = enumerate_all(
-            g, _solution_sink(args, line), max_visited=args.max_visited,
-            on_insert=_tracer(args, line),
-        )
-    except MaxVisitedExceeded as exc:
-        _err(str(exc))
-        return 3
-    return _write_stats(args, stats.to_json_dict())
+    return _report(args, g, lambda sink, hook: enumerate_all(
+        g, sink, max_visited=args.max_visited, on_insert=hook))
 
 
 def cmd_kbest(args: argparse.Namespace) -> int:
@@ -118,23 +131,8 @@ def cmd_kbest(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if g is None:
         return 2
-    payload: dict = {}
-    if min_ceds_is_singleton(g) is None:
-        seed = approx_min_ceds(g)
-        payload["seed_size"] = seed.solution.size
-        payload["seed_lower_bound"] = seed.lower_bound
-        payload["seed_ratio_bound"] = str(seed.observed_ratio_bound)
-    line = _line_formatter(args, g)
-    try:
-        stats = enumerate_kbest(
-            g, args.k, _solution_sink(args, line), max_visited=args.max_visited,
-            on_insert=_tracer(args, line),
-        )
-    except MaxVisitedExceeded as exc:
-        _err(str(exc))
-        return 3
-    payload.update(stats.to_json_dict())
-    return _write_stats(args, payload)
+    return _report(args, g, lambda sink, hook: enumerate_kbest(
+        g, args.k, sink, max_visited=args.max_visited, on_insert=hook))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

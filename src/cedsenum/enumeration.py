@@ -14,6 +14,7 @@ import heapq
 from collections import deque
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from time import perf_counter
 
 from .approx import approx_min_ceds
@@ -35,15 +36,26 @@ class MaxVisitedExceeded(RuntimeError):
 
 @dataclass
 class EnumerationStats:
+    """Counters of one run.  The seed fields are set by a k-best run that
+    starts from the approximate seed, and stay None otherwise."""
+
     outputs: int = 0
     expansions: int = 0
     duplicates: int = 0
     max_delay_s: float = 0.0
     mean_delay_s: float = 0.0
     peak_visited: int = 0
+    seed_size: int | None = None
+    seed_lower_bound: int | None = None
+    seed_ratio_bound: Fraction | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON values, leaving out the seed fields when None;
+        the ratio bound becomes a string such as ``"3/2"``."""
+        out = {key: value for key, value in asdict(self).items() if value is not None}
+        if self.seed_ratio_bound is not None:
+            out["seed_ratio_bound"] = str(self.seed_ratio_bound)
+        return out
 
 
 def initial_solution(g: Graph) -> Solution:
@@ -89,7 +101,13 @@ def _run(
             stats.expansions += 1  # each output is produced directly, no batches
         return finalize()
 
-    start = approx_min_ceds(g).solution if kbest else initial_solution(g)
+    if kbest:
+        seed = approx_min_ceds(g)
+        start = seed.solution
+        stats.seed_size, stats.seed_lower_bound = start.size, seed.lower_bound
+        stats.seed_ratio_bound = seed.observed_ratio_bound
+    else:
+        start = initial_solution(g)
     visited = {start.mask}
     heap: list[Solution] = []
     queue: deque[Solution] = deque()

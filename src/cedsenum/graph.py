@@ -133,7 +133,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "edges", "labels", "adjacency", "degrees", "max_degree",
-        "incident_mask", "edge_vmask", "dominator_mask", "all_edges_mask",
+        "incident_mask", "neighbor_vmask", "edge_vmask", "dominator_mask", "all_edges_mask",
         "_edge_index", "_vc_table",
     )
 
@@ -144,15 +144,19 @@ class Graph:
         self.labels = labels if labels is not None else tuple(range(n))
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         incident = [0] * n
+        nbr = [0] * n
         for idx, (u, v) in enumerate(self.edges):
             adjacency[u].append((v, idx))
             adjacency[v].append((u, idx))
             incident[u] |= 1 << idx
             incident[v] |= 1 << idx
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         self.adjacency = tuple(tuple(a) for a in adjacency)  # already in ascending edge order
         self.degrees = tuple(len(a) for a in adjacency)
         self.max_degree = max(self.degrees) if n else 0
         self.incident_mask = tuple(incident)
+        self.neighbor_vmask = tuple(nbr)
         self.edge_vmask = tuple((1 << u) | (1 << v) for u, v in self.edges)
         self.dominator_mask = tuple(incident[u] | incident[v] for u, v in self.edges)
         self.all_edges_mask = (1 << self.m) - 1
@@ -247,6 +251,22 @@ def _vertices_mask(g: Graph, mask: int) -> int:
         vm |= ev[low.bit_length() - 1]
         mask ^= low
     return vm
+
+
+def _vertex_degree_masks(g: Graph, mask: int) -> tuple[int, int]:
+    """(V(mask), the vertices of degree >= 2 in G[mask]) in one walk.
+
+    The leaves of G[mask] are the first mask without the second.
+    """
+    ev = g.edge_vmask
+    once = twice = 0
+    while mask:
+        low = mask & -mask
+        vm = ev[low.bit_length() - 1]
+        twice |= once & vm
+        once |= vm
+        mask ^= low
+    return once, twice
 
 
 def _dominated_mask(g: Graph, mask: int) -> int:

@@ -17,6 +17,7 @@ from .graph import (
     _components_masks,
     _dominated_mask,
     _pendant_items,
+    _vertex_degree_masks,
     _vertices_mask,
 )
 
@@ -113,12 +114,16 @@ def type1_neighbors(
     out: list[tuple[Solution, TypeI]] = []
     edge_vmask = g.edge_vmask
     mask = x.mask
+    vm, inner = _vertex_degree_masks(g, mask)
     for e in _bits(mask):
+        if edge_vmask[e] & ~inner:
+            continue  # pendant edges are handled by Types II and III
+        # x is a tree, so an edge between two inner vertices splits it in
+        # two components that share no vertex and cover V(x)
         rest = mask ^ (1 << e)
         comps = _components_masks(g, rest)
-        if len(comps) != 2:
-            continue  # pendant edges are handled by Types II and III
-        vmasks = [_vertices_mask(g, c) for c in comps]
+        v0 = _vertices_mask(g, comps[0])
+        vmasks = (v0, vm & ~v0)
         for i in (0, 1):
             vi, vj = vmasks[i], vmasks[1 - i]
             # every edge with an endpoint in V(C_i) shares it with an edge
@@ -151,9 +156,10 @@ def type2_neighbors(
     cache = {} if _cache is None else _cache
     out: list[tuple[Solution, TypeII]] = []
     mask = x.mask
+    vm = _vertices_mask(g, mask)
     for e, v in _pendant_items(g, mask):
         rest = mask ^ (1 << e)
-        rest_verts = _vertices_mask(g, rest)
+        rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
         for z, h in g.adjacency[v]:
             if rest_verts >> z & 1:
                 _consider(g, rest | (1 << h), TypeII(e, (h,)), out, cache)
@@ -176,10 +182,11 @@ def type3_neighbor(
     its smallest-index edge back to V(G[x - e]).
     """
     cache = {} if _cache is None else _cache
-    pend = dict(_pendant_items(g, x.mask))
-    if e not in pend:
+    vm, inner = _vertex_degree_masks(g, x.mask)
+    if not x.mask >> e & 1 or not g.edge_vmask[e] & ~inner:
         raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
-    v = pend[e]
+    a, b = g.edges[e]  # a < b; a lone edge reports its smaller endpoint
+    v = b if inner >> a & 1 else a
     for _, h in g.adjacency[v]:
         hu, hv = g.edges[h]
         if g.degrees[hu] == 1 or g.degrees[hv] == 1:
@@ -190,7 +197,7 @@ def type3_neighbor(
         # minimality of x; reaching this line is a bug
         raise RuntimeError(f"empty W-set for pendant edge {e} of {x!r}")
     rest = x.mask ^ (1 << e)
-    rest_verts = _vertices_mask(g, rest)
+    rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
     fmask = 0
     for w in _bits(ws):
         f = next((h for z, h in g.adjacency[w] if rest_verts >> z & 1), None)

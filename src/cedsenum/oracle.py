@@ -9,6 +9,7 @@ acceptance sweep alike.
 
 from __future__ import annotations
 
+import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,6 +413,7 @@ def verify_graph(
 
     The checks share one oracle solution list, one neighbor cache and one
     supergraph snapshot, each timed with the first check that needs it.
+    A check that breaks a program assertion gets a FAIL row naming it.
     ``line`` formats the solutions in counterexamples (default
     ``solution_line``, in internal ids).  Raises :class:`TooLargeError`
     above ``max_edges`` edges, on the first ``next`` and before any check.
@@ -428,4 +430,9 @@ def verify_graph(
                 text, checked, figures = check(run)
             except _Counterexample as exc:
                 status, text, checked = FAIL, str(exc), 0
+            except AssertionError as exc:
+                # a self-check of the program fired inside the check
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                text = f"assertion failed in {where.name}: {where.line} {exc}".rstrip()
+                status, checked = FAIL, 0
         yield CheckResult(name, status, text, checked, perf_counter() - t0, figures)

@@ -29,7 +29,8 @@ from cedsenum.ceds import (
     solution_from_edges,
 )
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import _spanning_tree_mask, spanning_tree_of
+from cedsenum.graph import _spanning_tree_mask, _vertices_mask, spanning_tree_of
+from cedsenum.oracle import is_minimal_ceds_definitional
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -170,6 +171,57 @@ def test_minimalize_mask_matches_the_spanning_tree_form(n, seed):
     for mask in masks:
         assert is_ceds(g, EdgeSet.from_mask(mask))
         assert _minimalize_mask(g, mask) == _minimalize_by_spanning_tree(g, mask)
+
+
+def _grow_tree(g, rng, tree, extra):
+    """Grow the tree ``tree`` by random edges with exactly one endpoint in
+    it until it dominates every edge; then add ``extra`` more such edges,
+    whose new leaves may have no private edge."""
+    verts = _vertices_mask(g, tree)
+    while True:
+        grow = [f for f in range(g.m) if (g.edge_vmask[f] & verts).bit_count() == 1]
+        if g._dominates_all(tree):
+            if not extra or not grow:
+                return tree
+            extra -= 1
+        f = rng.choice(grow)
+        tree |= 1 << f
+        verts |= g.edge_vmask[f]
+
+
+def _with_chord(g, rng, tree):
+    """``tree`` plus one edge of G joining two of its vertices, if any."""
+    verts = _vertices_mask(g, tree)
+    chords = [e for e in range(g.m) if not tree >> e & 1 and g.edge_vmask[e] & ~verts == 0]
+    return tree | (1 << rng.choice(chords)) if chords else tree
+
+
+@given(
+    st.integers(min_value=4, max_value=14),
+    st.integers(min_value=15, max_value=20),
+    st.integers(min_value=0, max_value=10_000),
+)
+@PROPERTY_SETTINGS
+def test_is_minimal_ceds_matches_the_definitional_oracle(small_n, large_n, seed):
+    """The leaf test (one neighbor-mask word per leaf) agrees with the
+    containment search on tree CEDS grown in the test, on their minimal
+    forms with and without an extra pendant edge, on trees plus a chord and
+    on random sets, for n on both sides of the vertex-cover table."""
+    rng = random.Random(seed)
+    for n in (small_n, large_n):
+        g = random_connected_graph(n, 0.3, seed)
+        for v in range(g.n):
+            assert g.neighbor_vmask[v] == sum(1 << w for w, _ in g.adjacency[v])
+        masks = [g.all_edges_mask, _spanning_tree_mask(g, g.all_edges_mask)]
+        for extra in (0, 1, 3):
+            tree = _grow_tree(g, rng, 1 << rng.randrange(g.m), extra)
+            minimal = _minimalize_mask(g, tree)
+            masks += [tree, _with_chord(g, rng, tree), minimal, _grow_tree(g, rng, minimal, 1)]
+        for density in (0.1, 0.3, 0.6):
+            masks.append(sum(1 << e for e in range(g.m) if rng.random() < density))
+        for mask in masks:
+            s = EdgeSet.from_mask(mask)
+            assert is_minimal_ceds(g, s) == is_minimal_ceds_definitional(g, s), mask
 
 
 # ---------------------------------------------------------------------------

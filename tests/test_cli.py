@@ -21,7 +21,7 @@ from cedsenum import (
     solution_line,
     to_edge_list_text,
 )
-from cedsenum import cli
+from cedsenum import approx, cli, enumeration, neighbors
 from cedsenum.cli import main
 
 
@@ -254,7 +254,7 @@ def test_enumerate_unwritable_stats_file_exits_2(p5, tmp_path):
     proc = _run_cli(["enumerate", "--stats-file", str(target), "-"],
                     stdin=to_edge_list_text(p5).encode())
     assert proc.returncode == 2
-    assert proc.stdout == b"1-2 2-3\n"
+    assert proc.stdout == b""  # refused before the run
     assert proc.stderr.decode() == f"cedsenum: {target}: No such file or directory\n"
 
 
@@ -313,6 +313,27 @@ def test_kbest_on_a_trivial_instance_has_no_seed(star_file, capsys):
     out, err = capsys.readouterr()
     assert out == "0-1\n0-2\n"
     assert "seed_size" not in json.loads(err)
+
+
+@pytest.mark.parametrize("output", ["both", "solutions"])
+def test_kbest_computes_the_seed_once(c5_file, capsys, monkeypatch, output):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return approx.approx_min_ceds(g)
+
+    for module in (enumeration, cli):  # every module the command runs through
+        monkeypatch.setattr(module, "approx_min_ceds", counted, raising=False)
+    assert main(["kbest", c5_file, "-k", "1", "--output", output]) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 1
+    assert out == "0-1 1-2 2-3\n"
+    if output == "both":
+        stats = json.loads(err)
+        assert (stats["seed_size"], stats["seed_lower_bound"], stats["seed_ratio_bound"]) == (
+            3, 2, "3/2"
+        )
 
 
 def test_kbest_requires_a_positive_k(c5_file, capsys):
@@ -428,6 +449,19 @@ def test_verify_exits_4_on_a_repeated_solution(c5_file, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "oracle-equivalence      FAIL\n"
     assert err == f"cedsenum: counterexample: solution '{repeated[0]}' emitted more than once\n"
+
+
+def test_verify_reports_a_program_assertion_as_a_fail_row(c5_file, capsys, monkeypatch):
+    # the self-check in all_neighbors fires during the first check's enumeration
+    monkeypatch.setattr(neighbors, "is_minimal_ceds", lambda g, s: False)
+    assert main(["verify", c5_file]) == 4
+    out, err = capsys.readouterr()
+    assert out == "oracle-equivalence      FAIL\n"
+    assert err == (
+        "cedsenum: counterexample: assertion failed in all_neighbors: "
+        "assert all(is_minimal_ceds(g, sol.edges) for sol, _ in items)\n"
+    )
+    assert "Traceback" not in err
 
 
 def _add_arcs(targets):

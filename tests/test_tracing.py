@@ -1,4 +1,5 @@
-"""The benchmark tracer still binds to the names it rebinds in the package."""
+"""The benchmark tracer still binds to the names it rebinds in the package,
+and the move counts it reads stay fixed on a pinned instance."""
 
 from __future__ import annotations
 
@@ -6,22 +7,29 @@ import importlib.util
 from pathlib import Path
 
 import cedsenum
+from cedsenum.corpus import random_connected_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
-def test_tracer_counts_the_hot_path(c5):
+def _traced(run):
+    """Run ``run()`` under a fresh ``Tracer`` and return the tracer."""
     spec = importlib.util.spec_from_file_location("cedsenum_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer(cedsenum)
-    consider = cedsenum.neighbors._consider
     tracer.install()
     try:
-        got = []
-        cedsenum.enumeration.enumerate_kbest(c5, 3, got.append)
+        run()
     finally:
         tracer.remove()
+    return tracer
+
+
+def test_tracer_counts_the_hot_path(c5):
+    consider = cedsenum.neighbors._consider
+    got = []
+    tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(c5, 3, got.append))
     assert len(got) == 3
     assert tracer.calls["enumeration.run"] == 1
     assert tracer.calls["neighbors.all"] > 0
@@ -30,3 +38,21 @@ def test_tracer_counts_the_hot_path(c5):
         assert tracer.counts[f"neighbors.candidates.{kind}"] > 0
     assert cedsenum.neighbors._consider is consider
     assert cedsenum.enumeration.all_neighbors is cedsenum.neighbors.all_neighbors
+
+
+def test_move_counts_are_pinned_on_the_golden_kbest_instance():
+    """The k=20 run of the golden digest test.  A faster candidate path
+    must still try the same moves, hit the cache as often, minimalize as
+    often and self-check every batch item."""
+    g = random_connected_graph(14, 0.18, 8)
+    tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
+    counts = {
+        "neighbors.candidates.type1": 717,
+        "neighbors.candidates.type2": 321,
+        "neighbors.candidates.type3": 69,
+        "neighbors.cache_hits": 779,
+        "neighbors.batch_items": 230,
+    }
+    assert {name: tracer.counts[name] for name in counts} == counts
+    assert tracer.calls["ceds.minimalize"] == 329
+    assert tracer.calls["ceds.self_check"] == 230
