@@ -77,6 +77,18 @@ def is_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
     return _is_ceds_mask(g, _mask_of(s))
 
 
+def _private_mask(g: Graph, mask: int, f: int) -> int:
+    """Edges outside ``mask`` whose only dominator in ``mask`` is ``f``."""
+    out = 0
+    u, v = g.edges[f]
+    # a private edge must share an endpoint with f, so scanning the
+    # neighborhood of f's endpoints sees every candidate
+    for h in _bits((g.incident_mask[u] | g.incident_mask[v]) & ~mask):
+        if g.dominator_mask[h] & mask == 1 << f:
+            out |= 1 << h
+    return out
+
+
 def private_edges(g: Graph, s: EdgeSet | Iterable[int], f: int) -> EdgeSet:
     """Edges outside s whose only incident s-edge (over both endpoints) is f.
 
@@ -85,14 +97,7 @@ def private_edges(g: Graph, s: EdgeSet | Iterable[int], f: int) -> EdgeSet:
     mask = _mask_of(s)
     if not mask >> f & 1:
         raise ValueError(f"edge {f} is not in the given set")
-    out = 0
-    u, v = g.edges[f]
-    # a private edge must share an endpoint with f, so scanning the
-    # neighborhood of f's endpoints sees every candidate
-    for h in _bits((g.incident_mask[u] | g.incident_mask[v]) & ~mask):
-        if g.dominator_mask[h] & mask == 1 << f:
-            out |= 1 << h
-    return EdgeSet.from_mask(out)
+    return EdgeSet.from_mask(_private_mask(g, mask, f))
 
 
 def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:

@@ -134,7 +134,7 @@ class Graph:
     __slots__ = (
         "n", "m", "edges", "labels", "adjacency", "degrees", "max_degree",
         "incident_mask", "neighbor_vmask", "edge_vmask", "dominator_mask", "all_edges_mask",
-        "_edge_index", "_vc_table",
+        "_edge_index", "_vc_table", "_edge_slices", "_nbr_slices",
     )
 
     def __init__(self, n: int, edges: list[tuple[int, int]], labels: tuple | None = None):
@@ -161,7 +161,9 @@ class Graph:
         self.dominator_mask = tuple(incident[u] | incident[v] for u, v in self.edges)
         self.all_edges_mask = (1 << self.m) - 1
         self._edge_index = {uv: i for i, uv in enumerate(self.edges)}
-        self._vc_table: list[bool] | None = None
+        self._vc_table: bytes | None = None
+        self._edge_slices: tuple | None = None
+        self._nbr_slices: tuple | None = None
 
     @classmethod
     def from_edge_list(cls, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -207,25 +209,63 @@ class Graph:
     def _dominates_all(self, mask: int) -> bool:
         """True iff every edge of the graph shares an endpoint with ``mask``.
 
-        For n <= 14 the endpoints of ``mask`` are gathered into a vertex
-        mask and looked up in a table of the graph's vertex covers, built on
-        first use.  Above that, the dominator masks of the edges in ``mask``
-        are OR-ed together; each one holds the edges sharing an endpoint
-        with its edge, so the union is the whole edge set exactly when
-        ``mask`` dominates every edge.
+        Both paths start from V(mask), read off the edge slice tables (see
+        :func:`_vertices_mask`).  For n <= 14 it indexes a table of the
+        graph's vertex covers, built on first use: ``2^n`` bytes, 16 KB at
+        n = 14.  Above that, let U be the vertices outside V(mask).  An edge
+        escapes ``mask`` exactly when both its endpoints lie in U, so
+        ``mask`` dominates every edge iff no vertex of U has a neighbour in
+        U, that is, iff ``OR(neighbor_vmask[u] for u in U) & U == 0``.  That
+        OR is taken a byte of U at a time from the neighbour slice tables,
+        one per run of 8 vertices, ``⌈n/8⌉`` lookups in all.
         """
         table = self._vc_table
         if table is None and self.n <= 14:
             table = self._build_vc_table()
         if table is not None:
-            return table[_vertices_mask(self, mask)]
-        return _dominated_mask(self, mask) == self.all_edges_mask
+            return table[_vertices_mask(self, mask)] == 1
+        outside = rest = ~_vertices_mask(self, mask) & ((1 << self.n) - 1)
+        reach = 0
+        for ors in self._nbr_slices or self._build_nbr_slices():
+            reach |= ors[rest & 255]
+            rest >>= 8
+            if not rest:
+                break
+        return not reach & outside
 
-    def _build_vc_table(self) -> list[bool]:
-        evs = self.edge_vmask
-        table = [all(ev & vm for ev in evs) for vm in range(1 << self.n)]
+    def _build_vc_table(self) -> bytes:
+        """Byte ``vm`` is 1 iff the vertex mask ``vm`` covers every edge.
+
+        ``vm`` is a cover iff its complement is an independent set, and a
+        set is independent iff it is without its lowest vertex ``u`` and
+        ``u`` has no neighbour in it, so one pass over the subsets in
+        ascending order decides them all; the table is that list reversed,
+        since the complement of ``vm`` is ``2^n - 1 - vm``.
+        """
+        nbr = self.neighbor_vmask
+        independent = bytearray(1 << self.n)
+        independent[0] = 1
+        for u_set in range(1, 1 << self.n):
+            low = u_set & -u_set
+            rest = u_set ^ low
+            independent[u_set] = independent[rest] and not nbr[low.bit_length() - 1] & rest
+        table = bytes(independent[::-1])
         self._vc_table = table
         return table
+
+    def _build_edge_slices(self) -> tuple:
+        edge_vmask = self.edge_vmask
+        slices = tuple(
+            _slice_tables(edge_vmask[lo:lo + 8], self.n) for lo in range(0, self.m, 8)
+        )
+        self._edge_slices = slices
+        return slices
+
+    def _build_nbr_slices(self) -> tuple:
+        nbr = self.neighbor_vmask
+        slices = tuple(_slice_tables(nbr[lo:lo + 8], self.n)[0] for lo in range(0, self.n, 8))
+        self._nbr_slices = slices
+        return slices
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Graph):
@@ -243,29 +283,63 @@ class Graph:
 # Edge-subset structure, bitmask engine
 
 
+def _slice_tables(masks: tuple[int, ...], n: int) -> tuple:
+    """(OR table, shared-bit table) over the subsets of at most 8 masks.
+
+    Entry ``b`` of the first is the OR of the masks whose bits are set in
+    ``b``; entry ``b`` of the second holds the bits that two or more of
+    them share.  With ``k`` masks each table has ``2^k`` entries, so a
+    short last slice stays short.  Masks over n <= 8 vertices fit a byte,
+    and those tables are ``bytes``.
+    """
+    size = 1 << len(masks)
+    ors = [0] * size
+    shared = [0] * size
+    for b in range(1, size):
+        low = b & -b
+        rest = b ^ low
+        m = masks[low.bit_length() - 1]
+        ors[b] = ors[rest] | m
+        shared[b] = shared[rest] | ors[rest] & m
+    if n <= 8:
+        return bytes(ors), bytes(shared)
+    return ors, shared
+
+
 def _vertices_mask(g: Graph, mask: int) -> int:
-    ev = g.edge_vmask
+    """V(mask): the endpoints of the edges in ``mask``.
+
+    The edges are sliced in runs of 8, edges ``8j .. 8j+7`` in slice ``j``,
+    and byte ``j`` of ``mask`` indexes that slice's OR table of endpoint
+    masks, so the cost is at most ``⌈m/8⌉`` lookups, whatever ``|mask|``.
+    The tables are built on first use.
+    """
     vm = 0
-    while mask:
-        low = mask & -mask
-        vm |= ev[low.bit_length() - 1]
-        mask ^= low
+    for ors, _ in g._edge_slices or g._build_edge_slices():
+        vm |= ors[mask & 255]
+        mask >>= 8
+        if not mask:
+            break
     return vm
 
 
 def _vertex_degree_masks(g: Graph, mask: int) -> tuple[int, int]:
-    """(V(mask), the vertices of degree >= 2 in G[mask]) in one walk.
+    """(V(mask), the vertices of degree >= 2 in G[mask]), in ``⌈m/8⌉`` lookups.
 
-    The leaves of G[mask] are the first mask without the second.
+    Uses the slices of :func:`_vertices_mask`.  A vertex has degree >= 2
+    when two edges of one byte share it (the slice's shared-bit table) or
+    when it is an endpoint both in this byte and in an earlier one.  The
+    leaves of G[mask] are the first mask without the second.
     """
-    ev = g.edge_vmask
     once = twice = 0
-    while mask:
-        low = mask & -mask
-        vm = ev[low.bit_length() - 1]
-        twice |= once & vm
-        once |= vm
-        mask ^= low
+    for ors, shared in g._edge_slices or g._build_edge_slices():
+        b = mask & 255
+        o = ors[b]
+        twice |= shared[b] | once & o
+        once |= o
+        mask >>= 8
+        if not mask:
+            break
     return once, twice
 
 
@@ -492,10 +566,11 @@ def to_edge_list_text(g: Graph) -> str:
 def read_graph(source: str | Path, fmt: str = "edgelist") -> Graph:
     """Read a graph from a file path or `-` for standard input.
 
-    The bytes are decoded as strict UTF-8; undecodable input raises
+    The bytes are decoded as strict UTF-8, whatever the locale; a leading
+    byte order mark is dropped, and undecodable input raises
     :class:`UnicodeDecodeError`.
     """
     data = sys.stdin.buffer.read() if str(source) == "-" else Path(source).read_bytes()
-    text = data.decode("utf-8")  # strict, whatever the locale
+    text = data.decode("utf-8-sig")
     pairs = parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
     return Graph.from_edge_list(pairs)

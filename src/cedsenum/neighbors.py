@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ceds import Solution, _is_ceds_mask, _minimalize_mask, is_minimal_ceds, private_edges
+from .ceds import Solution, _is_ceds_mask, _minimalize_mask, _private_mask, is_minimal_ceds
 from .graph import (
     Graph,
     _bits,
@@ -86,13 +86,19 @@ def w_set(g: Graph, x: Solution, e: int) -> int:
     """Vertex mask of the vertices off ``e`` incident to a private edge of
     ``e`` that is not a pendant edge of the whole graph.  ``e`` must be
     pendant in G[x]."""
-    pend = dict(_pendant_items(g, x.mask))
-    if e not in pend:
+    inner = _vertex_degree_masks(g, x.mask)[1]
+    if not x.mask >> e & 1 or not g.edge_vmask[e] & ~inner:
         raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
-    priv = private_edges(g, x.edges, e)
-    assert priv or x.size == 1, "pendant edge of a minimal CEDS must have a private edge"
+    return _w_mask(g, x.mask, e)
+
+
+def _w_mask(g: Graph, mask: int, e: int) -> int:
+    """:func:`w_set` for the solution mask ``mask``; the caller has checked
+    that ``e`` is pendant in G[mask]."""
+    priv = _private_mask(g, mask, e)
+    assert priv or mask.bit_count() == 1, "pendant edge of a minimal CEDS must have a private edge"
     verts = 0
-    for h in priv:
+    for h in _bits(priv):
         hu, hv = g.edges[h]
         if g.degrees[hu] == 1 or g.degrees[hv] == 1:
             continue  # pendant in G
@@ -191,7 +197,7 @@ def type3_neighbor(
         hu, hv = g.edges[h]
         if g.degrees[hu] == 1 or g.degrees[hv] == 1:
             return None
-    ws = w_set(g, x, e)
+    ws = _w_mask(g, x.mask, e)
     if not ws:
         # empty W would mean x - e is already a CEDS, contradicting the
         # minimality of x; reaching this line is a bug

@@ -235,6 +235,17 @@ def test_enumerate_non_utf8_input_exits_2(tmp_path, from_stdin):
     assert err.startswith(f"cedsenum: {source}: ") and "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_enumerate_reads_input_with_a_utf8_byte_order_mark(tmp_path, p5, from_stdin):
+    text = to_edge_list_text(p5).encode()
+    path = tmp_path / "bom.edges"
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    source = "-" if from_stdin else str(path)
+    proc = _run_cli(["enumerate", source], stdin=b"\xef\xbb\xbf" + text if from_stdin else b"")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == _run_cli(["enumerate", "-"], stdin=text).stdout != b""
+
+
 def test_enumerate_non_utf8_stdin_in_a_c_locale_exits_2():
     proc = _run_cli(["enumerate", "-"], stdin=b"0 1\n1 \xff\n", LC_ALL="C")
     assert proc.returncode == 2

@@ -24,6 +24,8 @@ from cedsenum.graph import (
     DuplicateEdgeError,
     NotConnectedError,
     SelfLoopError,
+    _vertex_degree_masks,
+    _vertices_mask,
     components_of,
     induced_vertices,
     is_tree,
@@ -246,6 +248,35 @@ def test_dominates_all_matches_the_definition_on_both_paths(small_n, large_n, se
         assert g._dominates_all(g.all_edges_mask)
         assert not g._dominates_all(0)
         assert (g._vc_table is not None) == (n <= 14)
+
+
+@pytest.mark.parametrize("m_target", [7, 8, 9, 15, 16, 17, 24, 25])
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=15, deadline=None)
+def test_sliced_vertex_kernels_match_a_per_edge_walk(m_target, seed):
+    """V(mask) and the degree->=2 vertices from the byte-slice tables equal
+    a per-edge count, for n = 2..20 (bytes tables up to 8 vertices, lists
+    above) and m at and around the 8-edge slice boundaries, capped at the
+    number of vertex pairs."""
+    rng = random.Random(seed)
+    for n in range(2, 21):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, min(m_target, len(pairs))))
+        masks = [0, g.all_edges_mask] + [
+            sum(1 << e for e in range(g.m) if rng.random() < density)
+            for density in (0.1, 0.4, 0.8)
+        ]
+        for mask in masks:
+            degree = Counter(x for e in range(g.m) if mask >> e & 1 for x in g.edges[e])
+            once = sum(1 << x for x in degree)
+            twice = sum(1 << x for x, d in degree.items() if d >= 2)
+            assert _vertex_degree_masks(g, mask) == (once, twice)
+            assert _vertices_mask(g, mask) == once
+        sizes = [1 << min(8, g.m - lo) for lo in range(0, g.m, 8)]
+        assert [(len(ors), len(shared)) for ors, shared in g._edge_slices] == [
+            (k, k) for k in sizes
+        ]
+        assert all(isinstance(t, bytes) == (n <= 8) for pair in g._edge_slices for t in pair)
 
 
 # ---------------------------------------------------------------------------
