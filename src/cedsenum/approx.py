@@ -1,10 +1,11 @@
 """Approximate minimum CEDS used to seed k-best enumeration.
 
 The construction: internal vertices of a depth-first search tree form a
-connected vertex cover, so the DFS-tree edges joining two internal vertices
-are a CEDS; minimalizing that set gives the seed.  The reported ratio bound
-divides the seed size by a cheap combinatorial lower bound on the optimum;
-tests compare against the brute-force optimum as well.
+connected vertex cover (Savage's bound), so the tree without its pendant
+edges is a CEDS.  The seed is ``spanning_tree_of(g, all edges)`` minus the
+pendant edge at every leaf other than the root, minimalized.  The reported
+ratio bound divides the seed size by a cheap combinatorial lower bound on
+the optimum; tests compare against the brute-force optimum as well.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ceds import Solution, min_ceds_is_singleton, minimalize
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
 
 
 @dataclass(frozen=True)
@@ -45,33 +46,19 @@ def _lower_bound(g: Graph) -> int:
 def approx_min_ceds(g: Graph) -> SeedReport:
     """Deterministic seed solution for a graph with no single-edge CEDS.
 
-    Depth-first search from vertex 0 exploring incident edges in ascending
-    index order; the tree edges whose child endpoint is internal span the
-    internal vertices, form a CEDS, and are then minimalized.
+    The tree is ``spanning_tree_of(g, all edges)``: a depth-first search
+    from vertex 0 exploring incident edges in ascending index order.  The
+    pendant edge at each leaf other than vertex 0 is dropped; the edges left
+    span the internal vertices, form a CEDS, and are then minimalized.
     """
     if min_ceds_is_singleton(g) is not None:
         raise ValueError("trivial instance: all solutions come from enumerate_trivial")
-    parent_edge = [-1] * g.n
-    has_child = [False] * g.n
-    visited = 1
-    stack = [(0, iter(g.adjacency[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w, e in it:
-            if not visited >> w & 1:
-                visited |= 1 << w
-                parent_edge[w] = e
-                has_child[v] = True
-                stack.append((w, iter(g.adjacency[w])))
-                break
-        else:
-            stack.pop()
-    mask = 0
-    for w in range(g.n):
-        if parent_edge[w] >= 0 and has_child[w]:
-            mask |= 1 << parent_edge[w]
-    # a depth-1 DFS tree would leave the mask empty, but that means the
+    tree = _spanning_tree_mask(g, g.all_edges_mask)
+    vm, inner = _vertex_degree_masks(g, tree)
+    for w in _bits(vm & ~inner & ~1):
+        tree &= ~g.incident_mask[w]
+    # a depth-1 DFS tree would leave nothing, but that means the
     # graph is a star, which is trivial and was rejected above
-    sol = minimalize(g, EdgeSet.from_mask(mask))
+    sol = minimalize(g, EdgeSet.from_mask(tree))
     lb = _lower_bound(g)
     return SeedReport(sol, lb, Fraction(sol.size, lb))

@@ -195,16 +195,20 @@ def minimalize(g: Graph, x: EdgeSet | Iterable[int]) -> Solution:
     return Solution(_minimalize_mask(g, mask))
 
 
-def min_ceds_is_singleton(g: Graph) -> int | None:
-    """Smallest edge e={a,b} with d(a)+d(b)-1 = m, if any.
+def _singleton_mask(g: Graph) -> int:
+    """Mask of the edges e={a,b} with d(a)+d(b)-1 = m.
 
     Such an edge's endpoints touch every edge, so {e} is a CEDS; the count
     identity holds because e is the only edge incident to both a and b.
     """
-    for e, (u, v) in enumerate(g.edges):
-        if g.degrees[u] + g.degrees[v] - 1 == g.m:
-            return e
-    return None
+    deg, m = g.degrees, g.m
+    return sum(1 << e for e, (u, v) in enumerate(g.edges) if deg[u] + deg[v] - 1 == m)
+
+
+def min_ceds_is_singleton(g: Graph) -> int | None:
+    """Smallest edge e={a,b} with d(a)+d(b)-1 = m, if any (see :func:`_singleton_mask`)."""
+    singles = _singleton_mask(g)
+    return (singles & -singles).bit_length() - 1 if singles else None
 
 
 def enumerate_trivial(g: Graph) -> list[Solution]:
@@ -225,36 +229,21 @@ def enumerate_trivial(g: Graph) -> list[Solution]:
     spoke is the sole dominator of the opposite hub's edge to that neighbor.
     So no solution has more than max(2, |N(a) & N(b)|) edges.
     """
-    e_star = min_ceds_is_singleton(g)
-    if e_star is None:
+    singles = _singleton_mask(g)
+    if not singles:
         raise ValueError("graph has no single-edge CEDS; use the general enumerator")
-    masks: list[int] = []
-    for e, (u, v) in enumerate(g.edges):
-        if g.degrees[u] + g.degrees[v] - 1 == g.m:
-            masks.append(1 << e)
-    a, b = g.edges[e_star]
+    masks = [1 << e for e in _bits(singles)]
+    a, b = g.edges[(singles & -singles).bit_length() - 1]
+    nbr = g.neighbor_vmask
     star_a = star_b = 0
-    for w in range(g.n):
-        if w == a or w == b:
-            continue
-        ea = g.edge_between(a, w)
-        eb = g.edge_between(b, w)
-        if ea is not None and eb is not None:
-            masks.append((1 << ea) | (1 << eb))
-            star_a |= 1 << ea
-            star_b |= 1 << eb
-    only_a = only_b = False
-    for w, _ in g.adjacency[a]:
-        if w != b and g.edge_between(b, w) is None:
-            only_a = True
-            break
-    for w, _ in g.adjacency[b]:
-        if w != a and g.edge_between(a, w) is None:
-            only_b = True
-            break
-    if star_a and not only_b:
+    for w in _bits(nbr[a] & nbr[b]):
+        ea, eb = g.edge_between(a, w), g.edge_between(b, w)
+        masks.append((1 << ea) | (1 << eb))
+        star_a |= 1 << ea
+        star_b |= 1 << eb
+    if star_a and not nbr[b] & ~nbr[a] & ~(1 << a):
         masks.append(star_a)
-    if star_b and not only_a:
+    if star_b and not nbr[a] & ~nbr[b] & ~(1 << b):
         masks.append(star_b)
     return sorted(
         Solution(mask) for mask in set(masks) if is_minimal_ceds(g, EdgeSet.from_mask(mask))

@@ -15,25 +15,18 @@ from .graph import Graph
 
 def _is_connected_cover(n: int, edges: list[tuple[int, int]]) -> bool:
     """True iff the edges touch all n vertices and form one component."""
-    if not edges:
-        return False
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
+    nbr = [0] * n
     for u, v in edges:
-        touched.add(u)
-        touched.add(v)
-        parent[find(u)] = find(v)
-    if len(touched) != n:
-        return False
-    roots = {find(v) for v in range(n)}
-    return len(roots) == 1
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    # vertex 0 reaches all n vertices iff the edges touch them all and are connected
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        new = nbr[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier ^= low | new
+    return bool(edges) and seen == (1 << n) - 1
 
 
 def all_connected_graphs(n: int) -> list[Graph]:
@@ -59,8 +52,8 @@ def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 10000) 
     """Seeded G(n, p) conditioned on connectivity by rejection sampling."""
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"edge probability must be in (0, 1], got {p}")
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     for _ in range(max_tries):

@@ -394,21 +394,17 @@ def _is_connected_mask(g: Graph, mask: int) -> bool:
 def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
     """(edge, pendant vertex) for each pendant edge of G[mask], ascending.
 
-    An isolated edge reports its smaller endpoint.
+    The pendant vertices are the leaves of :func:`_vertex_degree_masks`.
+    An isolated edge has two leaves and reports its smaller endpoint.
     """
-    inc = g.incident_mask
-    edges = g.edges
+    vm, inner = _vertex_degree_masks(g, mask)
+    leaves = vm & ~inner
+    edge_vmask = g.edge_vmask
     out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        e = low.bit_length() - 1
-        rest ^= low
-        u, v = edges[e]  # u < v
-        if (inc[u] & mask).bit_count() == 1:
-            out.append((e, u))
-        elif (inc[v] & mask).bit_count() == 1:
-            out.append((e, v))
+    for e in _bits(mask):
+        lv = edge_vmask[e] & leaves
+        if lv:
+            out.append((e, (lv & -lv).bit_length() - 1))
     return out
 
 

@@ -14,7 +14,7 @@ from .ceds import Solution, _is_ceds_mask, _minimalize_mask, _private_mask, is_m
 from .graph import (
     Graph,
     _bits,
-    _components_masks,
+    _component_mask,
     _dominated_mask,
     _pendant_items,
     _vertex_degree_masks,
@@ -127,8 +127,9 @@ def type1_neighbors(
         # x is a tree, so an edge between two inner vertices splits it in
         # two components that share no vertex and cover V(x)
         rest = mask ^ (1 << e)
-        comps = _components_masks(g, rest)
-        v0 = _vertices_mask(g, comps[0])
+        c0 = _component_mask(g, rest, (rest & -rest).bit_length() - 1)
+        comps = (c0, rest ^ c0)
+        v0 = _vertices_mask(g, c0)
         vmasks = (v0, vm & ~v0)
         for i in (0, 1):
             vi, vj = vmasks[i], vmasks[1 - i]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from cedsenum import (
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
-from cedsenum.corpus import random_connected_graph
+from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -51,6 +52,21 @@ def test_seed_is_certified(c5, k23):
 
 def test_seed_is_deterministic(c5):
     assert approx_min_ceds(c5) == approx_min_ceds(c5)
+
+
+def test_seed_digest_is_pinned():
+    """The seed masks of every non-trivial corpus graph and of the k-best
+    benchmark instance, in order.  A change to the seed construction that
+    is meant to change seeds re-records the digest on purpose."""
+    h = hashlib.sha256()
+    seeded = 0
+    for g in [*tiny_corpus(), *random_corpus(), random_connected_graph(30, 0.15, 5)]:
+        if min_ceds_is_singleton(g) is None:
+            h.update(f"{approx_min_ceds(g).solution.mask:x}\n".encode())
+            seeded += 1
+    assert (seeded, h.hexdigest()) == (
+        703, "a40dc6af9eae8509468804223df8f69f4aa560bf0170b9b42eadce4c12f634bb"
+    )
 
 
 def test_trivial_instances_are_rejected(star3, triangle):

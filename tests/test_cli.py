@@ -544,6 +544,9 @@ def test_gen_parameter_validation(capsys):
     assert "requires -n and --seed" in capsys.readouterr().err
     assert main(["gen", "-n", "6", "-p", "1.5", "--seed", "7"]) == 1
     capsys.readouterr()
+    # p = 0 never yields a connected sample, so it fails before any draw
+    assert main(["gen", "-n", "300", "-p", "0", "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "cedsenum: edge probability must be in (0, 1], got 0.0\n"
 
 
 # ---------------------------------------------------------------------------

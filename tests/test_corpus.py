@@ -45,8 +45,10 @@ def test_random_connected_graph_extremes():
         random_connected_graph(1, 0.5, seed=0)
     with pytest.raises(ValueError, match="probability"):
         random_connected_graph(5, 1.5, seed=0)
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\], got 0.0"):
+        random_connected_graph(3, 0.0, seed=0)
     with pytest.raises(ValueError, match="no connected sample"):
-        random_connected_graph(3, 0.0, seed=0, max_tries=50)
+        random_connected_graph(3, 1e-9, seed=0, max_tries=50)
 
 
 def test_random_corpus_shape():

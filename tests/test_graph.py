@@ -195,7 +195,7 @@ def _union_find_components(edges: list[tuple[int, int]]) -> int:
     return len({find(x) for x in parent})
 
 
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10_000))
+@given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
 def test_component_split_matches_union_find(n, seed):
     rng = random.Random(seed)

@@ -12,18 +12,34 @@ from cedsenum.corpus import random_connected_graph
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
-def _traced(run):
-    """Run ``run()`` under a fresh ``Tracer`` and return the tracer."""
+def _tracing_module():
     spec = importlib.util.spec_from_file_location("cedsenum_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer(cedsenum)
+    return tracing
+
+
+def _traced(run):
+    """Run ``run()`` under a fresh ``Tracer`` and return the tracer."""
+    tracer = _tracing_module().Tracer(cedsenum)
     tracer.install()
     try:
         run()
     finally:
         tracer.remove()
     return tracer
+
+
+def test_every_graph_helper_span_has_a_binding():
+    """A helper the tracer rebinds in no module would read 0 calls in every
+    run; dropping the last import of one must show up here instead."""
+    tracing = _tracing_module()
+    unbound = [
+        attr
+        for attr in tracing.GRAPH_HELPERS
+        if not any(hasattr(getattr(cedsenum, m), attr) for m in tracing.HELPER_BINDERS)
+    ]
+    assert unbound == []
 
 
 def test_tracer_counts_the_hot_path(c5):
