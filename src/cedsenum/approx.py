@@ -2,7 +2,7 @@
 
 The construction: internal vertices of a depth-first search tree form a
 connected vertex cover (Savage's bound), so the tree without its pendant
-edges is a CEDS.  The seed is ``spanning_tree_of(g, all edges)`` minus the
+edges is a CEDS.  The seed is ``_spanning_tree_mask(g, all edges)`` minus the
 pendant edge at every leaf other than the root, minimalized.  The reported
 ratio bound divides the seed size by a cheap combinatorial lower bound on
 the optimum; tests compare against the brute-force optimum as well.
@@ -46,7 +46,7 @@ def _lower_bound(g: Graph) -> int:
 def approx_min_ceds(g: Graph) -> SeedReport:
     """Deterministic seed solution for a graph with no single-edge CEDS.
 
-    The tree is ``spanning_tree_of(g, all edges)``: a depth-first search
+    The tree is ``_spanning_tree_mask(g, all edges)``: a depth-first search
     from vertex 0 exploring incident edges in ascending index order.  The
     pendant edge at each leaf other than vertex 0 is dropped; the edges left
     span the internal vertices, form a CEDS, and are then minimalized.

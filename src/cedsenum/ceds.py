@@ -63,11 +63,6 @@ class Solution:
         return f"Solution({list(_bits(self.mask))})"
 
 
-def dominates(g: Graph, e: int, f: int) -> bool:
-    """True iff edges e and f share an endpoint; every edge dominates itself."""
-    return bool(g.edge_vmask[e] & g.edge_vmask[f])
-
-
 def _is_ceds_mask(g: Graph, mask: int) -> bool:
     return mask != 0 and g._dominates_all(mask) and _is_connected_mask(g, mask)
 
@@ -87,17 +82,6 @@ def _private_mask(g: Graph, mask: int, f: int) -> int:
         if g.dominator_mask[h] & mask == 1 << f:
             out |= 1 << h
     return out
-
-
-def private_edges(g: Graph, s: EdgeSet | Iterable[int], f: int) -> EdgeSet:
-    """Edges outside s whose only incident s-edge (over both endpoints) is f.
-
-    ``f`` must be a member of ``s``.
-    """
-    mask = _mask_of(s)
-    if not mask >> f & 1:
-        raise ValueError(f"edge {f} is not in the given set")
-    return EdgeSet.from_mask(_private_mask(g, mask, f))
 
 
 def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:

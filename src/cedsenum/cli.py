@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "max_visited", None) is not None and args.max_visited < 1:
         _err(f"{args.command} requires --max-visited >= 1, got {args.max_visited}")
         return 1
+    if getattr(args, "max_edges", 1) < 1:
+        _err(f"verify requires --max-edges >= 1, got {args.max_edges}")
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except TooLargeError as exc:

@@ -373,19 +373,6 @@ def _component_mask(g: Graph, mask: int, e: int) -> int:
     return comp
 
 
-def _components_masks(g: Graph, mask: int) -> list[int]:
-    """Edge masks of the connected components of G[mask].
-
-    Ordered by smallest contained edge index.
-    """
-    comps = []
-    while mask:
-        comp = _component_mask(g, mask, (mask & -mask).bit_length() - 1)
-        comps.append(comp)
-        mask ^= comp
-    return comps
-
-
 def _is_connected_mask(g: Graph, mask: int) -> bool:
     """True iff mask is nonempty and G[mask] has a single component."""
     return mask != 0 and _component_mask(g, mask, (mask & -mask).bit_length() - 1) == mask
@@ -409,7 +396,8 @@ def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
 
 
 def _spanning_tree_mask(g: Graph, mask: int) -> int:
-    """Deterministic DFS spanning tree of G[mask]; raises NotConnectedError."""
+    """DFS spanning tree of G[mask] from its smallest vertex, taking incident
+    edges in ascending index order; raises NotConnectedError."""
     if not mask:
         raise NotConnectedError("empty edge set has no spanning tree")
     vm = _vertices_mask(g, mask)
@@ -437,38 +425,12 @@ def _spanning_tree_mask(g: Graph, mask: int) -> int:
 # Public operations on edge subsets
 
 
-def induced_vertices(g: Graph, s: EdgeSet | Iterable[int]) -> set[int]:
-    """Endpoints of the edges in ``s``."""
-    return set(_bits(_vertices_mask(g, _mask_of(s))))
-
-
-def components_of(g: Graph, s: EdgeSet | Iterable[int]) -> list[EdgeSet]:
-    """Partition of ``s`` into edge sets of connected components of G[s]."""
-    return [EdgeSet.from_mask(c) for c in _components_masks(g, _mask_of(s))]
-
-
 def is_tree(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
     """True iff G[s] is connected and acyclic; the empty set is not a tree."""
     mask = _mask_of(s)
-    if not mask:
-        return False
-    if not _is_connected_mask(g, mask):
-        return False
-    return mask.bit_count() == _vertices_mask(g, mask).bit_count() - 1
-
-
-def pendant_edges(g: Graph, s: EdgeSet | Iterable[int]) -> list[tuple[int, int]]:
-    """Edges of ``s`` with a degree-1 endpoint in G[s], with that endpoint."""
-    return _pendant_items(g, _mask_of(s))
-
-
-def spanning_tree_of(g: Graph, s: EdgeSet | Iterable[int]) -> EdgeSet:
-    """Spanning tree of G[s] by depth-first search.
-
-    The search starts from the smallest vertex of G[s] and explores incident
-    edges in ascending edge-index order, so the result is deterministic.
-    """
-    return EdgeSet.from_mask(_spanning_tree_mask(g, _mask_of(s)))
+    return _is_connected_mask(g, mask) and (
+        mask.bit_count() == _vertices_mask(g, mask).bit_count() - 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +526,11 @@ def read_graph(source: str | Path, fmt: str = "edgelist") -> Graph:
 
     The bytes are decoded as strict UTF-8, whatever the locale; a leading
     byte order mark is dropped, and undecodable input raises
-    :class:`UnicodeDecodeError`.
+    :class:`UnicodeDecodeError`.  ``fmt`` is ``edgelist`` or ``dimacs``;
+    any other value raises :class:`ValueError` before anything is read.
     """
+    if fmt not in ("edgelist", "dimacs"):
+        raise ValueError(f"graph format must be 'edgelist' or 'dimacs', got {fmt!r}")
     data = sys.stdin.buffer.read() if str(source) == "-" else Path(source).read_bytes()
     text = data.decode("utf-8-sig")
     pairs = parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)

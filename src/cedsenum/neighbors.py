@@ -65,7 +65,6 @@ Provenance = TypeI | TypeII | TypeIII
 
 @dataclass
 class NeighborBatch:
-    origin: Solution
     items: list[tuple[Solution, Provenance]]
 
 
@@ -82,19 +81,10 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
         out.append((res, prov))
 
 
-def w_set(g: Graph, x: Solution, e: int) -> int:
-    """Vertex mask of the vertices off ``e`` incident to a private edge of
-    ``e`` that is not a pendant edge of the whole graph.  ``e`` must be
-    pendant in G[x]."""
-    inner = _vertex_degree_masks(g, x.mask)[1]
-    if not x.mask >> e & 1 or not g.edge_vmask[e] & ~inner:
-        raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
-    return _w_mask(g, x.mask, e)
-
-
 def _w_mask(g: Graph, mask: int, e: int) -> int:
-    """:func:`w_set` for the solution mask ``mask``; the caller has checked
-    that ``e`` is pendant in G[mask]."""
+    """Vertex mask of the vertices off ``e`` incident to a private edge of
+    ``e`` that is not a pendant edge of the whole graph.  The caller has
+    checked that ``e`` is pendant in G[mask]."""
     priv = _private_mask(g, mask, e)
     assert priv or mask.bit_count() == 1, "pendant edge of a minimal CEDS must have a private edge"
     verts = 0
@@ -226,7 +216,7 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
         # trivial-instance path, which never consults the supergraph
-        return NeighborBatch(x, [])
+        return NeighborBatch([])
     cache: dict = {}
     raw: list[tuple[Solution, Provenance]] = []
     raw.extend(type1_neighbors(g, x, _cache=cache))
@@ -242,4 +232,4 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
             seen.add(sol.mask)
             items.append((sol, prov))
     assert all(is_minimal_ceds(g, sol.edges) for sol, _ in items)
-    return NeighborBatch(x, items)
+    return NeighborBatch(items)

@@ -24,8 +24,7 @@ from .ceds import (
 )
 from .enumeration import enumerate_all, enumerate_kbest, initial_solution
 from .graph import (
-    EdgeSet, Graph, _bits, _components_masks, _mask_of, _spanning_tree_mask, _vertices_mask,
-    is_tree,
+    EdgeSet, Graph, _bits, _mask_of, _spanning_tree_mask, _vertices_mask, is_tree,
 )
 from .neighbors import all_neighbors
 
@@ -42,15 +41,18 @@ def _require_scale(g: Graph, max_edges: int) -> None:
 
 
 def _contains_ceds_mask(g: Graph, mask: int) -> bool:
-    return any(g._dominates_all(c) for c in _components_masks(g, mask))
+    """True iff ``mask`` contains a CEDS, that is, iff it is one: a superset
+    of a CEDS still dominates every edge, and each added edge touches the
+    CEDS, so it stays connected."""
+    return _is_ceds_mask(g, mask)
 
 
 def is_minimal_ceds_definitional(g: Graph, s: EdgeSet) -> bool:
-    """Minimality by containment search, no structural shortcuts.
+    """Minimality by single-edge removal, no structural shortcuts.
 
-    s is a minimal CEDS iff s contains a CEDS but no single-edge removal
-    leaves a set that still contains one (if some proper subset were a
-    CEDS, it would survive removing any edge outside it).
+    s is a minimal CEDS iff s is a CEDS but no single-edge removal leaves
+    one (a CEDS inside s survives removing any edge outside it, since
+    every superset of a CEDS is one).
     """
     mask = _mask_of(s)
     if not _contains_ceds_mask(g, mask):
@@ -75,11 +77,10 @@ def brute_force_minimal_ceds(g: Graph, *, max_edges: int = ORACLE_EDGE_CAP) -> l
     """All minimal CEDS of g by pruned subset search; sorted by (size, key).
 
     The recursion decides edge membership in index order.  A branch stops
-    as soon as its chosen set contains a CEDS: on the path to a minimal
-    solution, no proper prefix subset can contain one, so each minimal
-    CEDS is reached exactly once, at the node where chosen equals it.  A
-    branch whose chosen set plus all undecided edges contains no CEDS is
-    dead and is cut.
+    as soon as its chosen set is a CEDS: on the path to a minimal solution,
+    no proper prefix subset can be one, so each minimal CEDS is reached
+    exactly once, at the node where chosen equals it.  A branch whose
+    chosen set plus all undecided edges is no CEDS is dead and is cut.
     """
     _require_scale(g, max_edges)
     m = g.m

@@ -22,14 +22,13 @@ from cedsenum import (
 )
 from cedsenum.ceds import (
     _minimalize_mask,
-    dominates,
+    _private_mask,
     is_ceds,
     minimalize,
-    private_edges,
     solution_from_edges,
 )
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import _spanning_tree_mask, _vertices_mask, spanning_tree_of
+from cedsenum.graph import _spanning_tree_mask, _vertices_mask
 from cedsenum.oracle import is_minimal_ceds_definitional
 
 PROPERTY_SETTINGS = settings(
@@ -48,11 +47,12 @@ def _keys(solutions):
 
 
 def test_dominates_means_sharing_an_endpoint(p5):
-    assert dominates(p5, 0, 1)
-    assert dominates(p5, 1, 0)
-    assert dominates(p5, 0, 0)
-    assert not dominates(p5, 0, 2)
-    assert not dominates(p5, 0, 3)
+    # edge e dominates f iff their endpoint masks meet, iff f is in e's
+    # dominator mask; every edge dominates itself
+    shared = {(0, 1): True, (1, 0): True, (0, 0): True, (0, 2): False, (0, 3): False}
+    for (e, f), want in shared.items():
+        assert bool(p5.edge_vmask[e] & p5.edge_vmask[f]) == want
+        assert bool(p5.dominator_mask[e] >> f & 1) == want
 
 
 def test_is_ceds(p5, c5):
@@ -66,12 +66,11 @@ def test_is_ceds(p5, c5):
 
 
 def test_private_edges(c5):
-    x = EdgeSet([0, 1, 2])
-    assert private_edges(c5, x, 0) == EdgeSet([4])
-    assert private_edges(c5, x, 1) == EdgeSet()
-    assert private_edges(c5, x, 2) == EdgeSet([3])
-    with pytest.raises(ValueError):
-        private_edges(c5, x, 3)
+    x = 0b00111
+    assert _private_mask(c5, x, 0) == 1 << 4
+    assert _private_mask(c5, x, 1) == 0
+    assert _private_mask(c5, x, 2) == 1 << 3
+    assert _private_mask(c5, x, 3) == 0  # an edge outside x is no edge's only dominator
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +117,7 @@ def test_minimalize_returns_minimal_subset(seed, n):
     assert sol.edges <= full
     assert is_minimal_ceds(g, sol.edges)
     # a spanning tree is also a CEDS, so minimalization applies to it too
-    tree = spanning_tree_of(g, full)
+    tree = EdgeSet.from_mask(_spanning_tree_mask(g, full.mask))
     pruned = minimalize(g, tree)
     assert pruned.edges <= tree
     assert is_minimal_ceds(g, pruned.edges)
@@ -153,7 +152,7 @@ def _minimalize_by_spanning_tree(g, mask):
         removable = [
             e for e in picked
             if 1 in (degree[g.edges[e][0]], degree[g.edges[e][1]])
-            and not private_edges(g, EdgeSet.from_mask(tree), e)
+            and not _private_mask(g, tree, e)
         ]
         if not removable:
             break

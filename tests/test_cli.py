@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cedsenum import (
     Solution,
@@ -410,6 +413,14 @@ def test_verify_rejects_oversized_input(c5_file, capsys):
     assert "above the oracle cap 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_max_edges_below_1_is_a_usage_error(c5_file, capsys, limit):
+    assert main(["verify", c5_file, "--max-edges", limit]) == 1
+    assert capsys.readouterr() == (
+        "", f"cedsenum: verify requires --max-edges >= 1, got {limit}\n"
+    )
+
+
 def test_verify_checks_the_cap_before_any_check(c5_file, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("enumeration ran above the oracle cap")
@@ -588,3 +599,63 @@ def test_bench_flags_failing_files(p5_file, tmp_path, capsys):
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the input boundary
+
+_FUZZ_COMMANDS = (
+    ["enumerate", "--max-visited", "50"],
+    ["kbest", "-k", "2"],
+    ["verify", "--max-edges", "6"],
+    ["bench", "--max-visited", "50"],
+)
+# Texts of well-formed lines over small ids, so that many make a connected
+# graph, with at most one line of token soup mixed in.
+_ID = st.integers(min_value=0, max_value=4).map(str)
+_SOUP = st.lists(
+    st.one_of(
+        st.integers(min_value=-1, max_value=9).map(str),
+        st.sampled_from(["p", "e", "c", "edge", "#", "x", "1.5", "\t"]),
+    ),
+    max_size=4,
+).map(" ".join)
+
+
+def _text(line):
+    def join(parts):
+        lines, soup, at = parts
+        return "\n".join(lines[:at] + soup + lines[at:])
+
+    return st.tuples(
+        st.lists(line, max_size=8), st.lists(_SOUP, max_size=1), st.integers(0, 8)
+    ).map(join)
+
+
+_EDGE_LIST = _text(st.tuples(_ID, _ID).map(" ".join))
+_DIMACS_ID = st.integers(min_value=1, max_value=5).map(str)
+_DIMACS = _text(st.one_of(
+    st.tuples(_DIMACS_ID, _ID).map(lambda nm: "p edge " + " ".join(nm)),
+    st.tuples(_DIMACS_ID, _DIMACS_ID).map(lambda uv: "e " + " ".join(uv)),
+    st.just("c a comment"),
+))
+
+
+@given(st.one_of(
+    st.binary(max_size=64),
+    _EDGE_LIST.map(str.encode),
+    _DIMACS.map(str.encode),
+))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_every_command_survives_arbitrary_input(tmp_path, data):
+    """Any bytes, in either format, into every subcommand that reads a
+    graph: the exit code is a documented one and no exception escapes."""
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for command in _FUZZ_COMMANDS:
+        for fmt in ("edgelist", "dimacs"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command, "--format", fmt, str(path)])
+            assert code in {0, 1, 2, 3, 4}, (command, fmt, data)

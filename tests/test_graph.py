@@ -24,13 +24,12 @@ from cedsenum.graph import (
     DuplicateEdgeError,
     NotConnectedError,
     SelfLoopError,
+    _component_mask,
+    _pendant_items,
+    _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
-    components_of,
-    induced_vertices,
     is_tree,
-    pendant_edges,
-    spanning_tree_of,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -146,14 +145,14 @@ def test_edgeset_mirrors_set_semantics(xs, ys):
 
 
 def test_induced_vertices(p5):
-    assert induced_vertices(p5, [1, 2]) == {1, 2, 3}
-    assert induced_vertices(p5, []) == set()
+    assert _vertices_mask(p5, 0b0110) == 0b01110
+    assert _vertices_mask(p5, 0) == 0
 
 
-def test_components_ordered_by_smallest_edge(p5):
-    comps = components_of(p5, [0, 3])
-    assert comps == [EdgeSet([0]), EdgeSet([3])]
-    assert components_of(p5, [1, 2]) == [EdgeSet([1, 2])]
+def test_component_mask_holds_the_given_edge(p5):
+    assert _component_mask(p5, 0b1001, 0) == 0b0001
+    assert _component_mask(p5, 0b1001, 3) == 0b1000
+    assert _component_mask(p5, 0b0110, 2) == 0b0110
 
 
 def test_is_tree(p5, c5, triangle):
@@ -165,22 +164,23 @@ def test_is_tree(p5, c5, triangle):
 
 
 def test_pendant_edges(p5, c5):
-    assert pendant_edges(p5, [0, 1, 2, 3]) == [(0, 0), (3, 4)]
-    assert pendant_edges(c5, [1, 2]) == [(1, 1), (2, 3)]
-    assert pendant_edges(c5, [0, 1, 2, 3, 4]) == []
+    assert _pendant_items(p5, 0b1111) == [(0, 0), (3, 4)]
+    assert _pendant_items(c5, 0b00110) == [(1, 1), (2, 3)]
+    assert _pendant_items(c5, 0b11111) == []
 
 
-def test_spanning_tree_of(c5):
-    tree = spanning_tree_of(c5, [0, 1, 2, 3, 4])
-    assert len(tree) == 4
-    assert is_tree(c5, tree)
+def test_spanning_tree_mask(c5):
+    tree = _spanning_tree_mask(c5, c5.all_edges_mask)
+    assert tree.bit_count() == 4
+    assert is_tree(c5, EdgeSet.from_mask(tree))
     with pytest.raises(NotConnectedError):
-        spanning_tree_of(c5, [])
+        _spanning_tree_mask(c5, 0)
     with pytest.raises(NotConnectedError):
-        spanning_tree_of(c5, [0, 2])
+        _spanning_tree_mask(c5, 0b00101)
 
 
-def _union_find_components(edges: list[tuple[int, int]]) -> int:
+def _union_find_roots(edges: list[tuple[int, int]]) -> list[int]:
+    """The union-find root of each edge's component, in input order."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -192,7 +192,7 @@ def _union_find_components(edges: list[tuple[int, int]]) -> int:
 
     for u, v in edges:
         parent[find(u)] = find(v)
-    return len({find(x) for x in parent})
+    return [find(u) for u, _ in edges]
 
 
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10_000))
@@ -201,9 +201,14 @@ def test_component_split_matches_union_find(n, seed):
     rng = random.Random(seed)
     g = random_connected_graph(n, 0.4, seed)
     picked = [e for e in range(g.m) if rng.random() < 0.6]
-    comps = components_of(g, picked)
-    assert sorted(e for comp in comps for e in comp) == picked
-    assert [min(comp) for comp in comps] == sorted(min(comp) for comp in comps)
+    mask = sum(1 << e for e in picked)
+    roots = _union_find_roots([g.edges[e] for e in picked])
+    for e, root in zip(picked, roots):
+        comp = _component_mask(g, mask, e)
+        assert comp == sum(1 << f for f, r in zip(picked, roots) if r == root)
+        assert is_tree(g, EdgeSet.from_mask(comp)) == (
+            comp.bit_count() == _vertices_mask(g, comp).bit_count() - 1
+        )
     degree = Counter(x for e in picked for x in g.edges[e])
     pendants = []
     for e in picked:
@@ -212,15 +217,7 @@ def test_component_split_matches_union_find(n, seed):
             pendants.append((e, u))
         elif degree[v] == 1:
             pendants.append((e, v))
-    assert pendant_edges(g, picked) == pendants
-    if picked:
-        expected = _union_find_components([g.edges[e] for e in picked])
-        assert len(comps) == expected
-        for comp in comps:
-            assert _union_find_components([g.edges[e] for e in comp]) == 1
-            assert is_tree(g, comp) == (
-                len(comp) == len(induced_vertices(g, comp)) - 1
-            )
+    assert _pendant_items(g, mask) == pendants
 
 
 def _dominates_all_by_definition(g, mask):
@@ -327,3 +324,12 @@ def test_read_graph_dimacs(tmp_path):
     path.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
     g = read_graph(path, fmt="dimacs")
     assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+
+
+def test_read_graph_rejects_an_unknown_format(tmp_path):
+    # "DIMACS" in capitals used to parse the file as an edge list
+    path = tmp_path / "p5.col"
+    path.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
+    for fmt in ("DIMACS", "edges", ""):
+        with pytest.raises(ValueError, match="'edgelist' or 'dimacs'"):
+            read_graph(path, fmt)

@@ -17,7 +17,7 @@ from cedsenum import (
     enumerate_kbest,
     oracle,
 )
-from cedsenum.ceds import is_ceds, solution_from_edges
+from cedsenum.ceds import _is_ceds_mask, solution_from_edges
 from cedsenum.corpus import random_connected_graph, tiny_corpus
 from cedsenum.enumeration import initial_solution
 from cedsenum.oracle import (
@@ -105,15 +105,37 @@ def test_definitional_minimality(c5, p5):
     assert not is_minimal_ceds_by_subsets(p5, EdgeSet([0, 1]))
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+@given(st.integers(min_value=4, max_value=14), st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
-def test_contains_ceds_collapses_to_the_predicate(seed):
-    # Domination glues everything to the dominating component, so "some
-    # component is a CEDS" can only hold when the whole set is one.
+def test_contains_ceds_collapses_to_the_predicate(n, seed):
+    """"Some component of the set is a CEDS" is decided here on its own: a
+    union-find splits the picked edges, and a component qualifies when
+    every edge of the graph has an endpoint among its vertices.  Both the
+    oracle's test and the CEDS predicate of the whole set must agree."""
     rng = random.Random(seed)
-    g = random_connected_graph(6, 0.5, seed)
-    s = EdgeSet(e for e in range(g.m) if rng.random() < 0.5)
-    assert _contains_ceds_mask(g, s.mask) == is_ceds(g, s)
+    g = random_connected_graph(n, 0.5, seed)
+    density = rng.random()
+    picked = [e for e in range(g.m) if rng.random() < density]
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in picked:
+        u, v = g.edges[e]
+        parent[find(u)] = find(v)
+    comp_vertices: dict[int, set[int]] = {}
+    for e in picked:
+        comp_vertices.setdefault(find(g.edges[e][0]), set()).update(g.edges[e])
+    expected = any(
+        all(u in vs or v in vs for u, v in g.edges) for vs in comp_vertices.values()
+    )
+    mask = sum(1 << e for e in picked)
+    assert _contains_ceds_mask(g, mask) == expected
+    assert _is_ceds_mask(g, mask) == expected
 
 
 # ---------------------------------------------------------------------------
