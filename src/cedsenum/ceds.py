@@ -17,6 +17,7 @@ from .graph import (
     _bits,
     _is_connected_mask,
     _mask_of,
+    _outside_reach,
     _spanning_tree_mask,
     _vertex_degree_masks,
 )
@@ -90,45 +91,56 @@ def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
     Decided structurally: a minimal CEDS induces a tree, a single-edge CEDS
     is always minimal, and a tree CEDS T with two or more edges is minimal
     exactly when the pendant edge at each leaf ``ell`` has a private edge.
-    That is one word test, ``neighbor_vmask[ell] & ~V(T) != 0``, and it is
-    exact: the leaf's parent p has another tree edge, which dominates every
-    edge at p, so a private edge must join ``ell`` to some w != p, and it is
+    That holds iff ``ell`` has a neighbour outside V(T), and it is exact:
+    the leaf's parent p has another tree edge, which dominates every edge
+    at p, so a private edge must join ``ell`` to some w != p, and it is
     private iff no tree edge touches w, that is, iff w lies outside V(T).
     The edge back to p never counts, since p lies inside V(T).
+
+    One OR of the neighbour masks of the vertices outside V(T)
+    (:func:`_outside_reach`) answers both questions that need the rest of
+    the graph: s dominates every edge iff the OR misses those vertices, and
+    every leaf has a private edge iff the OR holds every leaf.  Connectivity
+    is tested last, since any earlier failure already settles the answer.
     """
     mask = _mask_of(s)
-    if not _is_ceds_mask(g, mask):
+    if not mask:
         return False
-    if mask.bit_count() == 1:
-        return True
     vm, inner = _vertex_degree_masks(g, mask)
-    # connectivity is known, so tree-ness is the edge/vertex count identity
+    reach = _outside_reach(g, vm)
+    if reach & ~vm:
+        return False  # an edge with both endpoints outside V(s) is not dominated
+    # a connected mask is a tree iff it has one edge fewer than vertices; a
+    # disconnected one is no CEDS, so a failed count answers either way
     if mask.bit_count() != vm.bit_count() - 1:
         return False
-    nbr, outside = g.neighbor_vmask, ~vm
-    leaves = vm & ~inner
-    while leaves:
-        low = leaves & -leaves
-        if not nbr[low.bit_length() - 1] & outside:
-            return False
-        leaves ^= low
-    return True
+    if mask.bit_count() > 1 and vm & ~inner & ~reach:
+        return False  # a leaf without a private edge
+    return _is_connected_mask(g, mask)
 
 
 def _minimalize_mask(g: Graph, mask: int) -> int:
     """Prune a CEDS mask to a minimal one; assumes the input is a CEDS.
 
-    A connected mask with one edge fewer than it has vertices is already a
-    tree, and the only spanning tree of a tree is itself, so the DFS is run
-    only on masks with a cycle.  The shortcut relies on the CEDS
-    precondition: a disconnected mask can meet the same count.
+    Every neighbor move builds its candidates as CEDS (see
+    :func:`cedsenum.neighbors._consider`), so the precondition holds by
+    construction and is not tested here.  A connected mask with one edge
+    fewer than it has vertices is already a tree, and the only spanning
+    tree of a tree is itself, so the DFS is run only on masks with a cycle.
+    The shortcut relies on the precondition: a disconnected mask can meet
+    the same count.
 
     The pendant edges of the tree T are then tried smallest first.  The
-    edge at leaf ``ell`` stays iff ``neighbor_vmask[ell] & ~V(T)`` is nonzero,
-    the exact private-edge test of :func:`is_minimal_ceds`; otherwise it is
+    edge at leaf ``ell`` stays iff ``ell`` has a neighbour outside V(T), the
+    exact private-edge test of :func:`is_minimal_ceds`; otherwise it is
     removed, ``ell`` leaves V(T), and the other endpoint is queued if it is
     now a leaf.  V(T) comes from the same walk as the tree test, since a
-    spanning tree keeps every vertex.
+    spanning tree keeps every vertex.  A private edge survives later
+    removals, since V(T) only shrinks, so one OR (:func:`_outside_reach`)
+    settles every leaf that has one before the loop starts, and only the
+    others are queued; when there are none, T is minimal as it stands.
+    The test is made again at each pop, because a removal can give another
+    leaf a private edge.
     """
     inc, nbr = g.incident_mask, g.neighbor_vmask
     vm, inner = _vertex_degree_masks(g, mask)
@@ -137,10 +149,12 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
     else:
         tree = _spanning_tree_mask(g, mask)
         inner = _vertex_degree_masks(g, tree)[1]
-    # the pendant edge at each leaf; a single edge is listed twice and the
-    # loop stops at once
+    leaves = vm & ~inner & ~_outside_reach(g, vm)
+    if not leaves:
+        return tree
+    # the pendant edge at each unsettled leaf; a single edge may be listed
+    # twice, and the loop stops at once
     heap = []
-    leaves = vm & ~inner
     while leaves:
         low = leaves & -leaves
         heap.append((inc[low.bit_length() - 1] & tree).bit_length() - 1)

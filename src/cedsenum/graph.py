@@ -215,23 +215,15 @@ class Graph:
         n = 14.  Above that, let U be the vertices outside V(mask).  An edge
         escapes ``mask`` exactly when both its endpoints lie in U, so
         ``mask`` dominates every edge iff no vertex of U has a neighbour in
-        U, that is, iff ``OR(neighbor_vmask[u] for u in U) & U == 0``.  That
-        OR is taken a byte of U at a time from the neighbour slice tables,
-        one per run of 8 vertices, ``⌈n/8⌉`` lookups in all.
+        U, that is, iff :func:`_outside_reach` misses U.
         """
         table = self._vc_table
         if table is None and self.n <= 14:
             table = self._build_vc_table()
+        vm = _vertices_mask(self, mask)
         if table is not None:
-            return table[_vertices_mask(self, mask)] == 1
-        outside = rest = ~_vertices_mask(self, mask) & ((1 << self.n) - 1)
-        reach = 0
-        for ors in self._nbr_slices or self._build_nbr_slices():
-            reach |= ors[rest & 255]
-            rest >>= 8
-            if not rest:
-                break
-        return not reach & outside
+            return table[vm] == 1
+        return not _outside_reach(self, vm) & ~vm
 
     def _build_vc_table(self) -> bytes:
         """Byte ``vm`` is 1 iff the vertex mask ``vm`` covers every edge.
@@ -341,6 +333,27 @@ def _vertex_degree_masks(g: Graph, mask: int) -> tuple[int, int]:
         if not mask:
             break
     return once, twice
+
+
+def _outside_reach(g: Graph, vm: int) -> int:
+    """OR of ``neighbor_vmask[u]`` over the vertices u outside the vertex mask ``vm``.
+
+    The vertices are sliced in runs of 8 and byte ``j`` of the complement
+    indexes slice ``j``'s OR table, ``⌈n/8⌉`` lookups in all; the tables are
+    built on first use.  A vertex lies in the result iff it has a neighbour
+    outside ``vm``.  With ``vm = V(F)`` for an edge set F, F dominates every
+    edge iff the result misses the complement of ``vm``, and when F is a
+    tree of two or more edges, a leaf has a private edge iff it lies in the
+    result (see :func:`cedsenum.ceds.is_minimal_ceds`).
+    """
+    rest = ~vm & ((1 << g.n) - 1)
+    reach = 0
+    for ors in g._nbr_slices or g._build_nbr_slices():
+        reach |= ors[rest & 255]
+        rest >>= 8
+        if not rest:
+            break
+    return reach
 
 
 def _dominated_mask(g: Graph, mask: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ceds import Solution, _is_ceds_mask, _minimalize_mask, _private_mask, is_minimal_ceds
+from .ceds import Solution, _minimalize_mask, _private_mask, is_minimal_ceds
 from .graph import (
     Graph,
     _bits,
@@ -20,6 +20,10 @@ from .graph import (
     _vertex_degree_masks,
     _vertices_mask,
 )
+
+# ``benchmarks/tracing.py`` binds ``_is_ceds_mask`` in this module by name, so
+# it stays imported here although no move tests its candidates
+from .ceds import _is_ceds_mask  # noqa: F401
 
 
 class NotPendantError(ValueError):
@@ -69,16 +73,33 @@ class NeighborBatch:
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
-    """Validate a candidate mask, minimalize it, and append (Solution, prov).
+    """Minimalize a candidate mask and append (Solution, prov).
 
-    Candidates that are not CEDS are skipped; the move constructions make
-    them CEDS by design, so this is a safety net, not a filter.
+    Every candidate is a CEDS by construction, so it is not tested.  Let x
+    be the expanded minimal CEDS (a tree of two or more edges) and e the
+    removed edge.
+
+    - Type I: e is internal, so both its endpoints keep another edge of
+      x - e and everything e dominated stays dominated.  f leaves one
+      component C_i at its outside endpoint v, and g joins v to the other
+      component C_j (g = f when f bridges them), so C_i, C_j, f and g are
+      one connected set.
+    - Type II: every edge that only e dominated sits at the leaf v, and the
+      path starts at v, which puts v back; it ends in V(x - e), which is
+      nonempty since x has two or more edges.
+    - Type III: every private edge of e is (v, w) with w outside V(x).  The
+      move is skipped when v touches a pendant edge of G, so every such w
+      lies in W, and each w gets an edge into V(x - e), which dominates
+      (v, w) and joins the set.
+
+    A candidate that broke these proofs would not pass silently: the
+    spanning tree DFS raises :class:`NotConnectedError` on some
+    disconnected ones, and the self-check in :func:`all_neighbors` fails on
+    any result that is not a minimal CEDS.
     """
     if cand not in cache:
-        cache[cand] = Solution(_minimalize_mask(g, cand)) if _is_ceds_mask(g, cand) else None
-    res = cache[cand]
-    if res is not None:
-        out.append((res, prov))
+        cache[cand] = Solution(_minimalize_mask(g, cand))
+    out.append((cache[cand], prov))
 
 
 def _w_mask(g: Graph, mask: int, e: int) -> int:
@@ -204,7 +225,7 @@ def type3_neighbor(
     assert fmask.bit_count() == ws.bit_count()
     out: list[tuple[Solution, TypeIII]] = []
     _consider(g, rest | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
-    return out[0] if out else None
+    return out[0]
 
 
 def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:

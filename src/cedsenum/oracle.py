@@ -24,9 +24,9 @@ from .ceds import (
 )
 from .enumeration import enumerate_all, enumerate_kbest, initial_solution
 from .graph import (
-    EdgeSet, Graph, _bits, _mask_of, _spanning_tree_mask, _vertices_mask, is_tree,
+    EdgeSet, Graph, _bits, _mask_of, _pendant_items, _spanning_tree_mask, _vertices_mask, is_tree,
 )
-from .neighbors import all_neighbors
+from .neighbors import all_neighbors, type1_neighbors, type2_neighbors, type3_neighbor
 
 ORACLE_EDGE_CAP = 40
 
@@ -230,6 +230,10 @@ PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 # candidates; keeps the candidate count linear in the corpus.
 SUPERSET_SAMPLE = 8
 
+# Supergraph nodes per graph whose raw move candidates are tested; above it,
+# an evenly spaced sample of that many.
+CANDIDATE_SAMPLE = 100
+
 
 @dataclass
 class CheckResult:
@@ -347,6 +351,31 @@ def _neighbor_closure(run: _GraphRun):
     return f"{arcs} arcs", arcs, {}
 
 
+def _move_candidates(run: _GraphRun):
+    """Every raw candidate of every move is a CEDS, the proofs in the
+    docstring of ``neighbors._consider`` made executable: the moves
+    minimalize their candidates without testing them.  Runs the three move
+    types with one shared cache on each sampled node and tests every cached
+    candidate mask."""
+    g, nodes = run.g, run.solutions
+    if len(nodes) > CANDIDATE_SAMPLE:
+        nodes = [nodes[i * len(nodes) // CANDIDATE_SAMPLE] for i in range(CANDIDATE_SAMPLE)]
+    count = 0
+    for x in nodes:
+        cache: dict = {}
+        type1_neighbors(g, x, _cache=cache)
+        type2_neighbors(g, x, _cache=cache)
+        for e, _ in _pendant_items(g, x.mask):
+            type3_neighbor(g, x, e, _cache=cache)
+        for cand in cache:
+            if not _is_ceds_mask(g, cand):
+                raise _Counterexample(
+                    f"move candidate '{run.line(Solution(cand))}' of '{run.line(x)}' is not a CEDS"
+                )
+        count += len(cache)
+    return f"{count} candidates", count, {}
+
+
 def _strong_connectivity(run: _GraphRun):
     pair = _strong_connectivity_witness(run.snapshot)
     if pair is not None:
@@ -399,6 +428,7 @@ _CHECKS = (
     ("minimality-agreement", _minimality_agreement, None),
     ("trivial-fast-path", _trivial_fast_path, True),
     ("neighbor-closure", _neighbor_closure, False),
+    ("move-candidates", _move_candidates, False),
     ("strong-connectivity", _strong_connectivity, False),
     ("kbest-prefix-bound", _kbest_prefix_bound, None),
     ("path-size-bound", _path_size_bound, False),

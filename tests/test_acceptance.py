@@ -70,6 +70,19 @@ def test_criterion_3_neighbor_closure(corpus_report, criterion_log):
     assert tally.failure_count == 0, tally.detail
 
 
+def test_move_candidates_are_ceds(corpus_report, criterion_log):
+    """Every raw candidate of the three move types is a CEDS before it is
+    minimalized, on every sampled supergraph node: the moves build CEDS by
+    construction and minimalize their candidates without a test."""
+    tally = _tally(corpus_report, "move-candidates")
+    criterion_log(
+        f"move candidates (CEDS by construction): {_verdict(tally)} "
+        f"[{tally.checked} candidates, {tally.skipped} trivial graphs skipped, "
+        f"{tally.seconds:.1f}s]"
+    )
+    assert tally.failure_count == 0, tally.detail
+
+
 def test_criterion_4_strong_connectivity(corpus_report, criterion_log):
     """Every corpus supergraph is strongly connected.  Trivial instances have
     no supergraph: their solutions come from the closed form."""

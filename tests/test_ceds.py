@@ -3,6 +3,7 @@ closed-form enumeration for graphs with a single-edge solution."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 
@@ -28,7 +29,13 @@ from cedsenum.ceds import (
     solution_from_edges,
 )
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import _spanning_tree_mask, _vertices_mask
+from cedsenum.graph import (
+    Graph,
+    _pendant_items,
+    _spanning_tree_mask,
+    _vertex_degree_masks,
+    _vertices_mask,
+)
 from cedsenum.oracle import is_minimal_ceds_definitional
 
 PROPERTY_SETTINGS = settings(
@@ -172,6 +179,86 @@ def test_minimalize_mask_matches_the_spanning_tree_form(n, seed):
         assert _minimalize_mask(g, mask) == _minimalize_by_spanning_tree(g, mask)
 
 
+def _minimalize_by_leaf_heap(g, mask):
+    """The minimalization loop before the one-OR leaf test: every leaf's
+    pendant edge goes on the heap, and each pop tests its leaf alone."""
+    inc, nbr = g.incident_mask, g.neighbor_vmask
+    vm, inner = _vertex_degree_masks(g, mask)
+    if mask.bit_count() == vm.bit_count() - 1:
+        tree = mask
+    else:
+        tree = _spanning_tree_mask(g, mask)
+        inner = _vertex_degree_masks(g, tree)[1]
+    heap = []
+    leaves = vm & ~inner
+    while leaves:
+        low = leaves & -leaves
+        heap.append((inc[low.bit_length() - 1] & tree).bit_length() - 1)
+        leaves ^= low
+    heap.sort()
+    queued = set(heap)
+    while heap:
+        e = heapq.heappop(heap)
+        if tree == 1 << e:
+            break
+        u, v = g.edges[e]
+        ell, other = (u, v) if inc[u] & tree == 1 << e else (v, u)
+        if nbr[ell] & ~vm:
+            continue
+        tree ^= 1 << e
+        vm ^= 1 << ell
+        rest = inc[other] & tree
+        if rest.bit_count() == 1:
+            f = rest.bit_length() - 1
+            if f not in queued:
+                queued.add(f)
+                heapq.heappush(heap, f)
+    return tree
+
+
+def _random_graph(n, rng, p):
+    """A connected graph on n vertices: a random tree plus each other pair
+    with probability p, edges in random order."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return Graph.from_edge_list(edges)
+
+
+def _hub_graph(n, rng):
+    """Hubs 0 and 1 joined by an edge, and every other vertex joined to one
+    or both: the lone hub edge is a CEDS."""
+    edges = [(0, 1)]
+    for v in range(2, n):
+        edges += [(hub, v) for hub in rng.choice(((0,), (1,), (0, 1)))]
+    return Graph.from_edge_list(edges)
+
+
+@given(
+    st.integers(min_value=2, max_value=24),
+    st.sampled_from((0.05, 0.2, 0.5)),
+    st.integers(min_value=0, max_value=10_000),
+)
+@PROPERTY_SETTINGS
+def test_minimalize_mask_matches_the_per_leaf_heap(n, p, seed):
+    """Settling the leaves that have a private edge with one neighbour OR
+    before the loop returns the same mask as queueing every leaf, on trees
+    and on sets with cycles, for n = 2..24 (bytes slice tables up to 8
+    vertices, lists above, several neighbour slices above 16), and on the
+    lone hub edge, a single-edge tree."""
+    rng = random.Random(seed)
+    g = _random_graph(n, rng, p)
+    masks = [g.all_edges_mask, _spanning_tree_mask(g, g.all_edges_mask)]
+    masks += [_random_ceds_mask(g, rng, extra) for extra in (0, 0, 1, 3)]
+    hub = _hub_graph(n, rng)
+    masks_hub = [1, hub.all_edges_mask, _random_ceds_mask(hub, rng, 1)]
+    for graph, cases in ((g, masks), (hub, masks_hub)):
+        for mask in cases:
+            assert is_ceds(graph, EdgeSet.from_mask(mask))
+            assert _minimalize_mask(graph, mask) == _minimalize_by_leaf_heap(graph, mask), mask
+
+
 def _grow_tree(g, rng, tree, extra):
     """Grow the tree ``tree`` by random edges with exactly one endpoint in
     it until it dominates every edge; then add ``extra`` more such edges,
@@ -197,15 +284,17 @@ def _with_chord(g, rng, tree):
 
 @given(
     st.integers(min_value=4, max_value=14),
-    st.integers(min_value=15, max_value=20),
+    st.integers(min_value=15, max_value=24),
     st.integers(min_value=0, max_value=10_000),
 )
 @PROPERTY_SETTINGS
 def test_is_minimal_ceds_matches_the_definitional_oracle(small_n, large_n, seed):
-    """The leaf test (one neighbor-mask word per leaf) agrees with the
+    """The leaf test (one neighbour OR for all leaves) agrees with the
     containment search on tree CEDS grown in the test, on their minimal
-    forms with and without an extra pendant edge, on trees plus a chord and
-    on random sets, for n on both sides of the vertex-cover table."""
+    forms as they are, with an extra pendant edge, with one pendant edge
+    dropped and with any one edge added, on trees plus a chord and on
+    random sets, for n = 4..24: one to three neighbour slices, and beyond
+    the corpus sizes."""
     rng = random.Random(seed)
     for n in (small_n, large_n):
         g = random_connected_graph(n, 0.3, seed)
@@ -216,6 +305,11 @@ def test_is_minimal_ceds_matches_the_definitional_oracle(small_n, large_n, seed)
             tree = _grow_tree(g, rng, 1 << rng.randrange(g.m), extra)
             minimal = _minimalize_mask(g, tree)
             masks += [tree, _with_chord(g, rng, tree), minimal, _grow_tree(g, rng, minimal, 1)]
+            if minimal.bit_count() > 1:
+                masks.append(minimal ^ (1 << rng.choice(_pendant_items(g, minimal))[0]))
+            outside = [e for e in range(g.m) if not minimal >> e & 1]
+            if outside:
+                masks.append(minimal | 1 << rng.choice(outside))
         for density in (0.1, 0.3, 0.6):
             masks.append(sum(1 << e for e in range(g.m) if rng.random() < density))
         for mask in masks:

@@ -367,6 +367,7 @@ _VERIFY_ROWS = {
         "minimality-agreement    PASS (7 edge sets)\n"
         "trivial-fast-path       SKIP (non-trivial instance)\n"
         "neighbor-closure        PASS (0 arcs)\n"
+        "move-candidates         PASS (1 candidates)\n"
         "strong-connectivity     PASS (1 nodes, 0 arcs)\n"
         "kbest-prefix-bound      PASS (factor 3)\n"
         "path-size-bound         PASS\n"
@@ -377,6 +378,7 @@ _VERIFY_ROWS = {
         "minimality-agreement    PASS (22 edge sets)\n"
         "trivial-fast-path       SKIP (non-trivial instance)\n"
         "neighbor-closure        PASS (18 arcs)\n"
+        "move-candidates         PASS (30 candidates)\n"
         "strong-connectivity     PASS (5 nodes, 18 arcs)\n"
         "kbest-prefix-bound      PASS (factor 3)\n"
         "path-size-bound         PASS\n"
@@ -387,6 +389,7 @@ _VERIFY_ROWS = {
         "minimality-agreement    PASS (14 edge sets)\n"
         "trivial-fast-path       PASS (3 solutions, max size 1)\n"
         "neighbor-closure        SKIP (trivial instance)\n"
+        "move-candidates         SKIP (trivial instance)\n"
         "strong-connectivity     SKIP (trivial instance)\n"
         "kbest-prefix-bound      PASS (factor 3)\n"
         "path-size-bound         SKIP (trivial instance)\n"
@@ -405,7 +408,7 @@ def test_verify_trivial_instance_skips_supergraph_rows(star_file, capsys):
     assert main(["verify", star_file]) == 0
     out, _ = capsys.readouterr()
     assert out == _VERIFY_ROWS["star"]
-    assert out.count("SKIP") == 4
+    assert out.count("SKIP") == 5
 
 
 def test_verify_rejects_oversized_input(c5_file, capsys):
@@ -513,9 +516,12 @@ def _add_arcs(targets):
          "neighbor '2-3 3-4 0-4' of '0-1 1-2 2-3' is not a minimal CEDS tree"),
         ("build_supergraph", _add_arcs(lambda g, s: tuple(s.nodes) * 80), "out-degree-bound",
          "out-degree 404 exceeds 8*n*m*delta = 400"),
+        ("type2_neighbors",  # also caches the lone edge 0-1, which dominates too little
+         lambda real: lambda g, x, _cache: _cache.setdefault(1, None) or real(g, x, _cache=_cache),
+         "move-candidates", "move candidate '0-1' of '0-1 1-2 2-3' is not a CEDS"),
     ],
     ids=["best-first-mismatch", "neighbor-outside-oracle", "minimality-split",
-         "neighbor-not-a-tree", "out-degree"],
+         "neighbor-not-a-tree", "out-degree", "candidate-not-ceds"],
 )
 def test_verify_fault_gives_a_fail_row(c5_file, capsys, monkeypatch, attr, fake, row, message):
     monkeypatch.setattr(oracle, attr, fake(getattr(oracle, attr)))

@@ -66,7 +66,8 @@ def test_tracer_counts_the_hot_path(c5):
 def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     """The k=20 run of the golden digest test.  A faster candidate path
     must still try the same moves, hit the cache as often, minimalize as
-    often and self-check every batch item."""
+    often and self-check every batch item.  The moves build CEDS by
+    construction, so no candidate is CEDS-tested."""
     g = random_connected_graph(14, 0.18, 8)
     tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     counts = {
@@ -79,3 +80,4 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     assert {name: tracer.counts[name] for name in counts} == counts
     assert tracer.calls["ceds.minimalize"] == 329
     assert tracer.calls["ceds.self_check"] == 230
+    assert tracer.calls["ceds.is_ceds"] == 0
