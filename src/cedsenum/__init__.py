@@ -21,7 +21,6 @@ from .ceds import (
 from .corpus import random_connected_graph
 from .enumeration import EnumerationStats, MaxVisitedExceeded, enumerate_all, enumerate_kbest
 from .graph import (
-    EdgeSet,
     Graph,
     GraphError,
     ParseError,
@@ -35,7 +34,6 @@ from .oracle import TooLargeError, brute_force_minimal_ceds, build_supergraph
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdgeSet",
     "EnumerationStats",
     "Graph",
     "GraphError",

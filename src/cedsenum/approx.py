@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ceds import Solution, min_ceds_is_singleton, minimalize
-from .graph import EdgeSet, Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
+from .graph import Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,6 @@ def approx_min_ceds(g: Graph) -> SeedReport:
         tree &= ~g.incident_mask[w]
     # a depth-1 DFS tree would leave nothing, but that means the
     # graph is a star, which is trivial and was rejected above
-    sol = minimalize(g, EdgeSet.from_mask(tree))
+    sol = minimalize(g, tree)
     lb = _lower_bound(g)
     return SeedReport(sol, lb, Fraction(sol.size, lb))

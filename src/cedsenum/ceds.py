@@ -8,15 +8,13 @@ no proper subset is again a CEDS; every minimal CEDS induces a tree.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import (
-    EdgeSet,
     Graph,
     _bits,
+    _check_mask,
     _is_connected_mask,
-    _mask_of,
     _outside_reach,
     _spanning_tree_mask,
     _vertex_degree_masks,
@@ -46,10 +44,6 @@ class Solution:
     def canonical_key(self) -> tuple[int, ...]:
         return tuple(_bits(self.mask))
 
-    @property
-    def edges(self) -> EdgeSet:
-        return EdgeSet.from_mask(self.mask)
-
     def __lt__(self, other: Solution) -> bool:
         a, b = self.mask, other.mask
         size_a, size_b = a.bit_count(), b.bit_count()
@@ -65,12 +59,8 @@ class Solution:
 
 
 def _is_ceds_mask(g: Graph, mask: int) -> bool:
+    """True iff mask is nonempty, G[mask] is connected, and it dominates every edge."""
     return mask != 0 and g._dominates_all(mask) and _is_connected_mask(g, mask)
-
-
-def is_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
-    """True iff s is nonempty, G[s] is connected, and s dominates every edge."""
-    return _is_ceds_mask(g, _mask_of(s))
 
 
 def _private_mask(g: Graph, mask: int, f: int) -> int:
@@ -85,8 +75,8 @@ def _private_mask(g: Graph, mask: int, f: int) -> int:
     return out
 
 
-def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
-    """True iff s is a CEDS and no proper subset of s is one.
+def is_minimal_ceds(g: Graph, mask: int) -> bool:
+    """True iff the edge mask is a CEDS and no proper subset of it is one.
 
     Decided structurally: a minimal CEDS induces a tree, a single-edge CEDS
     is always minimal, and a tree CEDS T with two or more edges is minimal
@@ -99,17 +89,18 @@ def is_minimal_ceds(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
 
     One OR of the neighbour masks of the vertices outside V(T)
     (:func:`_outside_reach`) answers both questions that need the rest of
-    the graph: s dominates every edge iff the OR misses those vertices, and
-    every leaf has a private edge iff the OR holds every leaf.  Connectivity
-    is tested last, since any earlier failure already settles the answer.
+    the graph: the mask dominates every edge iff the OR misses those
+    vertices, and every leaf has a private edge iff the OR holds every leaf.
+    Connectivity is tested last, since any earlier failure already settles
+    the answer.
     """
-    mask = _mask_of(s)
+    _check_mask(g, mask)
     if not mask:
         return False
     vm, inner = _vertex_degree_masks(g, mask)
     reach = _outside_reach(g, vm)
     if reach & ~vm:
-        return False  # an edge with both endpoints outside V(s) is not dominated
+        return False  # an edge with both endpoints outside V(mask) is not dominated
     # a connected mask is a tree iff it has one edge fewer than vertices; a
     # disconnected one is no CEDS, so a failed count answers either way
     if mask.bit_count() != vm.bit_count() - 1:
@@ -180,16 +171,16 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
     return tree
 
 
-def minimalize(g: Graph, x: EdgeSet | Iterable[int]) -> Solution:
-    """Extract a minimal CEDS contained in the CEDS ``x`` (deterministically).
+def minimalize(g: Graph, mask: int) -> Solution:
+    """Extract a minimal CEDS contained in the CEDS ``mask`` (deterministically).
 
-    Takes the canonical spanning tree of G[x], then repeatedly removes the
+    Takes the canonical spanning tree of G[mask], then repeatedly removes the
     smallest-index pendant edge that has no private edge, re-enqueueing edges
-    that become pendant.  Raises :class:`NotCedsError` if x is not a CEDS.
+    that become pendant.  Raises :class:`NotCedsError` if the mask is not a CEDS.
     """
-    mask = _mask_of(x)
+    _check_mask(g, mask)
     if not _is_ceds_mask(g, mask):
-        raise NotCedsError(f"not a connected edge dominating set: {EdgeSet.from_mask(mask)!r}")
+        raise NotCedsError(f"not a connected edge dominating set: edges {list(_bits(mask))}")
     return Solution(_minimalize_mask(g, mask))
 
 
@@ -243,28 +234,25 @@ def enumerate_trivial(g: Graph) -> list[Solution]:
         masks.append(star_a)
     if star_b and not nbr[a] & ~nbr[b] & ~(1 << b):
         masks.append(star_b)
-    return sorted(
-        Solution(mask) for mask in set(masks) if is_minimal_ceds(g, EdgeSet.from_mask(mask))
-    )
+    return sorted(Solution(mask) for mask in set(masks) if is_minimal_ceds(g, mask))
 
 
 # ---------------------------------------------------------------------------
 # Solution line format: space-separated `u-v` pairs in ascending edge index
 
 
-def solution_line(g: Graph, s: Solution | EdgeSet | Iterable[int]) -> str:
+def solution_line(g: Graph, sol: Solution) -> str:
     """``u-v`` pairs in ascending edge index, in internal vertex ids.
 
     The ids are the relabeled 0..n-1, not the input's labels (the command
     line maps them back); :func:`parse_solution_line` reads the same ids.
     """
-    mask = s.mask if isinstance(s, Solution) else _mask_of(s)
-    return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in _bits(mask))
+    return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in _bits(sol.mask))
 
 
-def parse_solution_line(g: Graph, line: str) -> EdgeSet:
-    """Inverse of :func:`solution_line`, in internal vertex ids; raises
-    ValueError on unknown edges."""
+def parse_solution_line(g: Graph, line: str) -> int:
+    """Inverse of :func:`solution_line`, in internal vertex ids: the edge
+    mask of the line.  Raises ValueError on unknown edges."""
     mask = 0
     for token in line.split():
         try:
@@ -276,12 +264,4 @@ def parse_solution_line(g: Graph, line: str) -> EdgeSet:
         if e is None:
             raise ValueError(f"no edge {u}-{v} in the graph")
         mask |= 1 << e
-    return EdgeSet.from_mask(mask)
-
-
-def solution_from_edges(g: Graph, s: EdgeSet | Iterable[int]) -> Solution:
-    """Certify an edge set as a minimal CEDS and wrap it as a Solution."""
-    es = EdgeSet(s)
-    if not is_minimal_ceds(g, es):
-        raise NotCedsError(f"not a minimal connected edge dominating set: {es!r}")
-    return Solution(es.mask)
+    return mask

@@ -19,7 +19,7 @@ from time import perf_counter
 
 from .approx import approx_min_ceds
 from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton, minimalize
-from .graph import EdgeSet, Graph
+from .graph import Graph
 from .neighbors import NeighborBatch, Provenance, all_neighbors
 
 Sink = Callable[[Solution], None]
@@ -60,7 +60,7 @@ class EnumerationStats:
 
 def initial_solution(g: Graph) -> Solution:
     """Minimalize the full edge set; the start node for full enumeration."""
-    return minimalize(g, EdgeSet.from_mask(g.all_edges_mask))
+    return minimalize(g, g.all_edges_mask)
 
 
 def _run(

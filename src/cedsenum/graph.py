@@ -1,9 +1,9 @@
 """Immutable simple connected graphs with indexed edges, and edge-subset utilities.
 
-Vertices and edges are dense integer indices.  Edge subsets are represented
-by :class:`EdgeSet`, an immutable set of edge indices backed by an int
-bitmask; iteration is always in ascending index order, which keeps every
-downstream computation deterministic.
+Vertices and edges are dense integer indices.  An edge subset is an int
+mask, bit ``e`` standing for edge ``g.edges[e]``, and a vertex subset is an
+int mask over the vertices; :func:`_bits` lists a mask in ascending order,
+which keeps every downstream computation deterministic.
 """
 
 from __future__ import annotations
@@ -47,80 +47,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-class EdgeSet:
-    """Immutable set of edge indices backed by an int bitmask."""
-
-    __slots__ = ("_mask",)
-
-    def __init__(self, edges: EdgeSet | Iterable[int] = ()):
-        if isinstance(edges, EdgeSet):
-            self._mask = edges._mask
-            return
-        mask = 0
-        for e in edges:
-            if e < 0:
-                raise ValueError(f"edge index must be nonnegative, got {e}")
-            mask |= 1 << e
-        self._mask = mask
-
-    @classmethod
-    def from_mask(cls, mask: int) -> EdgeSet:
-        s = cls.__new__(cls)
-        s._mask = mask
-        return s
-
-    @property
-    def mask(self) -> int:
-        return self._mask
-
-    def __contains__(self, e: int) -> bool:
-        return e >= 0 and bool(self._mask >> e & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return _bits(self._mask)
-
-    def __len__(self) -> int:
-        return self._mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self._mask != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EdgeSet):
-            return self._mask == other._mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._mask)
-
-    def __or__(self, other: EdgeSet) -> EdgeSet:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return EdgeSet.from_mask(self._mask | other._mask)
-
-    def __and__(self, other: EdgeSet) -> EdgeSet:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return EdgeSet.from_mask(self._mask & other._mask)
-
-    def __sub__(self, other: EdgeSet) -> EdgeSet:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return EdgeSet.from_mask(self._mask & ~other._mask)
-
-    def __le__(self, other: EdgeSet) -> bool:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return self._mask & ~other._mask == 0
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({list(self)})"
-
-
-def _mask_of(s: EdgeSet | Iterable[int]) -> int:
-    return s.mask if isinstance(s, EdgeSet) else EdgeSet(s).mask
 
 
 class Graph:
@@ -438,9 +364,24 @@ def _spanning_tree_mask(g: Graph, mask: int) -> int:
 # Public operations on edge subsets
 
 
-def is_tree(g: Graph, s: EdgeSet | Iterable[int]) -> bool:
-    """True iff G[s] is connected and acyclic; the empty set is not a tree."""
-    mask = _mask_of(s)
+def _check_mask(g: Graph, mask: int) -> None:
+    """Refuse a value that is no edge mask of ``g``; the public functions
+    that take a mask call it first.
+
+    Raises TypeError for a non-int, and ValueError naming the lowest bit at
+    or above ``g.m`` for any other mask: a negative mask has such bits too.
+    """
+    if not isinstance(mask, int) or isinstance(mask, bool):
+        raise TypeError(f"an edge set is an int mask, got {type(mask).__name__}")
+    high = mask >> g.m
+    if high:
+        e = g.m + (high & -high).bit_length() - 1
+        raise ValueError(f"edge mask {mask} holds edge {e}; the graph has edges 0..{g.m - 1}")
+
+
+def is_tree(g: Graph, mask: int) -> bool:
+    """True iff G[mask] is connected and acyclic; the empty set is not a tree."""
+    _check_mask(g, mask)
     return _is_connected_mask(g, mask) and (
         mask.bit_count() == _vertices_mask(g, mask).bit_count() - 1
     )

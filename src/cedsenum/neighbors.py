@@ -73,7 +73,9 @@ class NeighborBatch:
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
-    """Minimalize a candidate mask and append (Solution, prov).
+    """Minimalize a candidate mask and append (Solution, prov).  ``cache``
+    maps each candidate mask to its Solution; the moves of one expansion
+    share it.
 
     Every candidate is a CEDS by construction, so it is not tested.  Let x
     be the expanded minimal CEDS (a tree of two or more edges) and e the
@@ -117,9 +119,7 @@ def _w_mask(g: Graph, mask: int, e: int) -> int:
     return verts & ~g.edge_vmask[e]
 
 
-def type1_neighbors(
-    g: Graph, x: Solution, _cache: dict | None = None
-) -> list[tuple[Solution, TypeI]]:
+def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
     Removing internal edge e leaves components C1, C2 (each with an edge).
@@ -127,7 +127,6 @@ def type1_neighbors(
     endpoint v, and every edge from v into V(C_j), the pair rejoins the
     components; f alone suffices when it bridges them (then g = f).
     """
-    cache = {} if _cache is None else _cache
     out: list[tuple[Solution, TypeI]] = []
     edge_vmask = g.edge_vmask
     mask = x.mask
@@ -162,16 +161,13 @@ def type1_neighbors(
     return out
 
 
-def type2_neighbors(
-    g: Graph, x: Solution, _cache: dict | None = None
-) -> list[tuple[Solution, TypeII]]:
+def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, TypeII]]:
     """Moves that replace a pendant edge by a short escape path.
 
     For pendant edge e with pendant vertex v, every path of length one or
     two from v back to a vertex of G[x - e] is patched in; the path may
     reuse e itself, which yields the origin again (dropped later).
     """
-    cache = {} if _cache is None else _cache
     out: list[tuple[Solution, TypeII]] = []
     mask = x.mask
     vm = _vertices_mask(g, mask)
@@ -190,16 +186,13 @@ def type2_neighbors(
     return out
 
 
-def type3_neighbor(
-    g: Graph, x: Solution, e: int, _cache: dict | None = None
-) -> tuple[Solution, TypeIII] | None:
+def type3_neighbor(g: Graph, x: Solution, e: int, cache: dict) -> tuple[Solution, TypeIII] | None:
     """The unique move that drops pendant edge e and re-covers its W-vertices.
 
     Returns None when the pendant vertex touches a pendant edge of the
     whole graph (the move is undefined there).  Each W-vertex contributes
     its smallest-index edge back to V(G[x - e]).
     """
-    cache = {} if _cache is None else _cache
     vm, inner = _vertex_degree_masks(g, x.mask)
     if not x.mask >> e & 1 or not g.edge_vmask[e] & ~inner:
         raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
@@ -240,10 +233,10 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
         return NeighborBatch([])
     cache: dict = {}
     raw: list[tuple[Solution, Provenance]] = []
-    raw.extend(type1_neighbors(g, x, _cache=cache))
-    raw.extend(type2_neighbors(g, x, _cache=cache))
+    raw.extend(type1_neighbors(g, x, cache))
+    raw.extend(type2_neighbors(g, x, cache))
     for e, _ in _pendant_items(g, x.mask):
-        hit = type3_neighbor(g, x, e, _cache=cache)
+        hit = type3_neighbor(g, x, e, cache)
         if hit is not None:
             raw.append(hit)
     seen = {x.mask}
@@ -252,5 +245,5 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
         if sol.mask not in seen:
             seen.add(sol.mask)
             items.append((sol, prov))
-    assert all(is_minimal_ceds(g, sol.edges) for sol, _ in items)
+    assert all(is_minimal_ceds(g, sol.mask) for sol, _ in items)
     return NeighborBatch(items)

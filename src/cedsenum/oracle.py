@@ -19,13 +19,11 @@ from time import perf_counter
 
 from .approx import approx_min_ceds
 from .ceds import (
-    Solution, _is_ceds_mask, enumerate_trivial, is_ceds, is_minimal_ceds,
-    min_ceds_is_singleton, solution_line,
+    Solution, _is_ceds_mask, enumerate_trivial, is_minimal_ceds, min_ceds_is_singleton,
+    solution_line,
 )
 from .enumeration import enumerate_all, enumerate_kbest, initial_solution
-from .graph import (
-    EdgeSet, Graph, _bits, _mask_of, _pendant_items, _spanning_tree_mask, _vertices_mask, is_tree,
-)
+from .graph import Graph, _bits, _pendant_items, _spanning_tree_mask, _vertices_mask, is_tree
 from .neighbors import all_neighbors, type1_neighbors, type2_neighbors, type3_neighbor
 
 ORACLE_EDGE_CAP = 40
@@ -47,27 +45,25 @@ def _contains_ceds_mask(g: Graph, mask: int) -> bool:
     return _is_ceds_mask(g, mask)
 
 
-def is_minimal_ceds_definitional(g: Graph, s: EdgeSet) -> bool:
+def is_minimal_ceds_definitional(g: Graph, mask: int) -> bool:
     """Minimality by single-edge removal, no structural shortcuts.
 
-    s is a minimal CEDS iff s is a CEDS but no single-edge removal leaves
-    one (a CEDS inside s survives removing any edge outside it, since
-    every superset of a CEDS is one).
+    The mask is a minimal CEDS iff it is a CEDS but no single-edge removal
+    leaves one (a CEDS inside it survives removing any edge outside that
+    CEDS, since every superset of a CEDS is one).
     """
-    mask = _mask_of(s)
     if not _contains_ceds_mask(g, mask):
         return False
     return all(not _contains_ceds_mask(g, mask ^ (1 << e)) for e in _bits(mask))
 
 
-def is_minimal_ceds_by_subsets(g: Graph, s: EdgeSet) -> bool:
+def is_minimal_ceds_by_subsets(g: Graph, mask: int) -> bool:
     """Fully naive minimality: check every proper nonempty subset."""
-    mask = _mask_of(s)
-    if not is_ceds(g, EdgeSet.from_mask(mask)):
+    if not _is_ceds_mask(g, mask):
         return False
     sub = (mask - 1) & mask
     while sub:
-        if is_ceds(g, EdgeSet.from_mask(sub)):
+        if _is_ceds_mask(g, sub):
             return False
         sub = (sub - 1) & mask
     return True
@@ -108,12 +104,9 @@ def brute_force_minimal_ceds(g: Graph, *, max_edges: int = ORACLE_EDGE_CAP) -> l
 def brute_force_naive(g: Graph, *, max_edges: int = 14) -> list[Solution]:
     """Unpruned cross-check of the oracle: filter all 2^m subsets."""
     _require_scale(g, max_edges)
-    out = [
-        Solution(mask)
-        for mask in range(1, 1 << g.m)
-        if is_minimal_ceds_by_subsets(g, EdgeSet.from_mask(mask))
-    ]
-    return sorted(out)
+    return sorted(
+        Solution(mask) for mask in range(1, 1 << g.m) if is_minimal_ceds_by_subsets(g, mask)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +299,7 @@ def _minimality_agreement(run: _GraphRun):
     cands = [s.mask for s in run.solutions] + [full, _spanning_tree_mask(g, full)]
     cands += [mask for mask in near if _is_ceds_mask(g, mask)]
     for mask in cands:
-        edges = EdgeSet.from_mask(mask)
-        if is_minimal_ceds(g, edges) != is_minimal_ceds_definitional(g, edges):
+        if is_minimal_ceds(g, mask) != is_minimal_ceds_definitional(g, mask):
             raise _Counterexample(f"minimality tests split on '{run.line(Solution(mask))}'")
     return f"{len(cands)} edge sets", len(cands), {}
 
@@ -345,7 +337,7 @@ def _neighbor_closure(run: _GraphRun):
             if t in seen:
                 continue
             seen.add(t)
-            if t not in oracle or not (is_minimal_ceds(g, t.edges) and is_tree(g, t.edges)):
+            if t not in oracle or not (is_minimal_ceds(g, t.mask) and is_tree(g, t.mask)):
                 what = "outside the oracle set" if t not in oracle else "not a minimal CEDS tree"
                 raise _Counterexample(f"neighbor '{run.line(t)}' of '{run.line(src)}' is {what}")
     return f"{arcs} arcs", arcs, {}
@@ -363,10 +355,10 @@ def _move_candidates(run: _GraphRun):
     count = 0
     for x in nodes:
         cache: dict = {}
-        type1_neighbors(g, x, _cache=cache)
-        type2_neighbors(g, x, _cache=cache)
+        type1_neighbors(g, x, cache)
+        type2_neighbors(g, x, cache)
         for e, _ in _pendant_items(g, x.mask):
-            type3_neighbor(g, x, e, _cache=cache)
+            type3_neighbor(g, x, e, cache)
         for cand in cache:
             if not _is_ceds_mask(g, cand):
                 raise _Counterexample(

@@ -47,7 +47,7 @@ def test_complete_bipartite_seed(k23):
 def test_seed_is_certified(c5, k23):
     for g in (c5, k23):
         sol = approx_min_ceds(g).solution
-        assert is_minimal_ceds(g, sol.edges)
+        assert is_minimal_ceds(g, sol.mask)
 
 
 def test_seed_is_deterministic(c5):

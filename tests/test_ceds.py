@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
-    EdgeSet,
     NotCedsError,
     Solution,
     enumerate_trivial,
@@ -21,13 +21,7 @@ from cedsenum import (
     parse_solution_line,
     solution_line,
 )
-from cedsenum.ceds import (
-    _minimalize_mask,
-    _private_mask,
-    is_ceds,
-    minimalize,
-    solution_from_edges,
-)
+from cedsenum.ceds import _is_ceds_mask, _minimalize_mask, _private_mask, minimalize
 from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import (
     Graph,
@@ -35,6 +29,7 @@ from cedsenum.graph import (
     _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
+    is_tree,
 )
 from cedsenum.oracle import is_minimal_ceds_definitional
 
@@ -63,13 +58,13 @@ def test_dominates_means_sharing_an_endpoint(p5):
 
 
 def test_is_ceds(p5, c5):
-    assert is_ceds(p5, [1, 2])
-    assert not is_ceds(p5, [0, 1])  # edge 3-4 is left untouched
-    assert not is_ceds(p5, [0, 3])  # dominating but disconnected
-    assert not is_ceds(p5, [])
-    assert is_ceds(c5, [0, 1, 2])
-    assert is_ceds(c5, [0, 1, 2, 3, 4])
-    assert not is_ceds(c5, [0, 1])
+    assert _is_ceds_mask(p5, 0b0110)
+    assert not _is_ceds_mask(p5, 0b0011)  # edge 3-4 is left untouched
+    assert not _is_ceds_mask(p5, 0b1001)  # dominating but disconnected
+    assert not _is_ceds_mask(p5, 0)
+    assert _is_ceds_mask(c5, 0b00111)
+    assert _is_ceds_mask(c5, 0b11111)
+    assert not _is_ceds_mask(c5, 0b00011)
 
 
 def test_private_edges(c5):
@@ -85,49 +80,70 @@ def test_private_edges(c5):
 
 
 def test_is_minimal_ceds(p5, c5, star3, triangle):
-    assert is_minimal_ceds(p5, [1, 2])
-    assert not is_minimal_ceds(p5, [0, 1, 2])
-    assert not is_minimal_ceds(p5, [0, 1, 2, 3])
-    assert is_minimal_ceds(c5, [0, 1, 2])
-    assert not is_minimal_ceds(c5, [0, 1, 2, 3, 4])  # cyclic, never minimal
-    assert is_minimal_ceds(star3, [0])
-    assert not is_minimal_ceds(star3, [0, 1])
-    assert not is_minimal_ceds(triangle, [0, 1, 2])
-    assert not is_minimal_ceds(p5, [0, 3])  # not even a CEDS
+    assert is_minimal_ceds(p5, 0b0110)
+    assert not is_minimal_ceds(p5, 0b0111)
+    assert not is_minimal_ceds(p5, 0b1111)
+    assert is_minimal_ceds(c5, 0b00111)
+    assert not is_minimal_ceds(c5, 0b11111)  # cyclic, never minimal
+    assert is_minimal_ceds(star3, 0b001)
+    assert not is_minimal_ceds(star3, 0b011)
+    assert not is_minimal_ceds(triangle, 0b111)
+    assert not is_minimal_ceds(p5, 0b1001)  # not even a CEDS
+    assert not is_minimal_ceds(p5, 0)
 
 
 def test_minimalize_frozen_results(p5, c5, star3):
-    assert minimalize(p5, EdgeSet.from_mask(p5.all_edges_mask)).canonical_key == (1, 2)
-    assert minimalize(c5, EdgeSet.from_mask(c5.all_edges_mask)).canonical_key == (1, 2, 3)
-    assert minimalize(star3, EdgeSet.from_mask(star3.all_edges_mask)).canonical_key == (2,)
+    assert minimalize(p5, p5.all_edges_mask).canonical_key == (1, 2)
+    assert minimalize(c5, c5.all_edges_mask).canonical_key == (1, 2, 3)
+    assert minimalize(star3, star3.all_edges_mask).canonical_key == (2,)
 
 
 def test_minimalize_is_identity_on_minimal_inputs(c5):
-    sol = minimalize(c5, [0, 1, 2])
+    sol = minimalize(c5, 0b00111)
     assert sol.canonical_key == (0, 1, 2)
-    assert minimalize(c5, sol.edges) == sol
+    assert minimalize(c5, sol.mask) == sol
 
 
 def test_minimalize_rejects_non_ceds(p5):
-    with pytest.raises(NotCedsError):
-        minimalize(p5, [0])
-    with pytest.raises(NotCedsError):
-        minimalize(p5, [0, 3])
+    with pytest.raises(NotCedsError, match=r"edges \[0\]"):
+        minimalize(p5, 0b0001)
+    with pytest.raises(NotCedsError, match=r"edges \[0, 3\]"):
+        minimalize(p5, 0b1001)
+
+
+@pytest.mark.parametrize("entry", ["is_minimal_ceds", "minimalize", "is_tree"])
+@pytest.mark.parametrize(
+    ("mask", "error", "text"),
+    [
+        ([1, 2], TypeError, "int mask, got list"),
+        (True, TypeError, "int mask, got bool"),
+        (1 << 40 | 0b1111, ValueError, "holds edge 40; the graph has edges 0..3"),
+        (1 << 4 | 1 << 9, ValueError, "holds edge 4;"),
+        (-1, ValueError, "holds edge 4;"),
+    ],
+    ids=["list", "bool", "edge-40", "edge-4", "negative"],
+)
+def test_public_entry_points_check_the_mask(p5, entry, mask, error, text):
+    """A mask from outside the program is an int with no bit at or above m;
+    anything else is refused by name, not answered or failed on later."""
+    fn = {"is_minimal_ceds": is_minimal_ceds, "minimalize": minimalize, "is_tree": is_tree}[entry]
+    with pytest.raises(error, match=re.escape(text)):
+        fn(p5, mask)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=6, max_value=8))
 @PROPERTY_SETTINGS
 def test_minimalize_returns_minimal_subset(seed, n):
     g = random_connected_graph(n, 0.5, seed)
-    full = EdgeSet.from_mask(g.all_edges_mask)
+    full = g.all_edges_mask
     sol = minimalize(g, full)
-    assert sol.edges <= full
-    assert is_minimal_ceds(g, sol.edges)
+    assert sol.mask & ~full == 0
+    assert is_minimal_ceds(g, sol.mask)
     # a spanning tree is also a CEDS, so minimalization applies to it too
-    tree = EdgeSet.from_mask(_spanning_tree_mask(g, full.mask))
+    tree = _spanning_tree_mask(g, full)
     pruned = minimalize(g, tree)
-    assert pruned.edges <= tree
-    assert is_minimal_ceds(g, pruned.edges)
+    assert pruned.mask & ~tree == 0
+    assert is_minimal_ceds(g, pruned.mask)
 
 
 def _random_ceds_mask(g, rng, extra):
@@ -175,7 +191,7 @@ def test_minimalize_mask_matches_the_spanning_tree_form(n, seed):
     masks = [g.all_edges_mask, _spanning_tree_mask(g, g.all_edges_mask)]
     masks += [_random_ceds_mask(g, rng, extra) for extra in (0, 0, 1, 3)]
     for mask in masks:
-        assert is_ceds(g, EdgeSet.from_mask(mask))
+        assert _is_ceds_mask(g, mask)
         assert _minimalize_mask(g, mask) == _minimalize_by_spanning_tree(g, mask)
 
 
@@ -255,7 +271,7 @@ def test_minimalize_mask_matches_the_per_leaf_heap(n, p, seed):
     masks_hub = [1, hub.all_edges_mask, _random_ceds_mask(hub, rng, 1)]
     for graph, cases in ((g, masks), (hub, masks_hub)):
         for mask in cases:
-            assert is_ceds(graph, EdgeSet.from_mask(mask))
+            assert _is_ceds_mask(graph, mask)
             assert _minimalize_mask(graph, mask) == _minimalize_by_leaf_heap(graph, mask), mask
 
 
@@ -313,8 +329,7 @@ def test_is_minimal_ceds_matches_the_definitional_oracle(small_n, large_n, seed)
         for density in (0.1, 0.3, 0.6):
             masks.append(sum(1 << e for e in range(g.m) if rng.random() < density))
         for mask in masks:
-            s = EdgeSet.from_mask(mask)
-            assert is_minimal_ceds(g, s) == is_minimal_ceds_definitional(g, s), mask
+            assert is_minimal_ceds(g, mask) == is_minimal_ceds_definitional(g, mask), mask
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,7 @@ def test_min_ceds_is_singleton(p5, c5, star3, triangle, k2, k23_plus):
 @PROPERTY_SETTINGS
 def test_singleton_witness_matches_direct_scan(seed):
     g = random_connected_graph(6, 0.5, seed)
-    direct = [e for e in range(g.m) if is_ceds(g, [e])]
+    direct = [e for e in range(g.m) if _is_ceds_mask(g, 1 << e)]
     witness = min_ceds_is_singleton(g)
     if direct:
         assert witness == direct[0]
@@ -372,9 +387,8 @@ def test_enumerate_trivial_rejects_general_instances(p5):
 
 
 def test_solution_ordering_and_repr(k23_plus):
-    small = solution_from_edges(k23_plus, [0])
-    pair = solution_from_edges(k23_plus, [1, 4])
-    star = solution_from_edges(k23_plus, [1, 2, 3])
+    small, pair, star = (Solution(mask) for mask in (0b1, 0b10010, 0b1110))
+    assert all(is_minimal_ceds(k23_plus, s.mask) for s in (small, pair, star))
     assert small < pair < star
     assert sorted([star, small, pair]) == [small, pair, star]
     assert repr(small) == "Solution([0])"
@@ -389,23 +403,16 @@ _MASKS = st.integers(min_value=1, max_value=(1 << 16) - 1)
 @PROPERTY_SETTINGS
 def test_solution_order_is_size_then_key(a, b):
     x, y = Solution(a), Solution(b)
-    assert x.size == len(x.canonical_key) and x.edges == EdgeSet(x.canonical_key)
+    assert x.size == len(x.canonical_key) and sum(1 << e for e in x.canonical_key) == a
     assert (x < y) == ((x.size, x.canonical_key) < (y.size, y.canonical_key))
     assert (x == y) == (a == b)
     assert hash(x) == hash(Solution(a))
 
 
-def test_solution_from_edges_certifies(p5):
-    sol = solution_from_edges(p5, [1, 2])
-    assert sol.canonical_key == (1, 2)
-    with pytest.raises(NotCedsError):
-        solution_from_edges(p5, [0, 1, 2])
-
-
 def test_solution_line_round_trip(p5, c5):
-    assert solution_line(p5, solution_from_edges(p5, [1, 2])) == "1-2 2-3"
-    line = solution_line(c5, solution_from_edges(c5, [0, 1, 2]))
-    assert parse_solution_line(c5, line) == EdgeSet([0, 1, 2])
+    assert solution_line(p5, Solution(0b0110)) == "1-2 2-3"
+    line = solution_line(c5, Solution(0b00111))
+    assert parse_solution_line(c5, line) == 0b00111
 
 
 def test_parse_solution_line_errors(p5):

@@ -75,8 +75,7 @@ def test_enumerate_cycle_streams_five_lines(c5_file, c5, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     for line in lines:
-        sol = parse_solution_line(c5, line)
-        assert is_minimal_ceds(c5, sol)
+        assert is_minimal_ceds(c5, parse_solution_line(c5, line))
     assert len(set(lines)) == 5
 
 
@@ -308,7 +307,7 @@ def test_kbest_two_of_five(c5_file, c5, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     for line in lines:
-        assert len(parse_solution_line(c5, line)) == 3
+        assert parse_solution_line(c5, line).bit_count() == 3
     stats = json.loads(err)
     assert stats["outputs"] == 2
     assert stats["seed_size"] == 3
@@ -484,7 +483,7 @@ def test_verify_reports_a_program_assertion_as_a_fail_row(c5_file, capsys, monke
     assert out == "oracle-equivalence      FAIL\n"
     assert err == (
         "cedsenum: counterexample: assertion failed in all_neighbors: "
-        "assert all(is_minimal_ceds(g, sol.edges) for sol, _ in items)\n"
+        "assert all(is_minimal_ceds(g, sol.mask) for sol, _ in items)\n"
     )
     assert "Traceback" not in err
 
@@ -517,7 +516,7 @@ def _add_arcs(targets):
         ("build_supergraph", _add_arcs(lambda g, s: tuple(s.nodes) * 80), "out-degree-bound",
          "out-degree 404 exceeds 8*n*m*delta = 400"),
         ("type2_neighbors",  # also caches the lone edge 0-1, which dominates too little
-         lambda real: lambda g, x, _cache: _cache.setdefault(1, None) or real(g, x, _cache=_cache),
+         lambda real: lambda g, x, cache: cache.setdefault(1, None) or real(g, x, cache),
          "move-candidates", "move candidate '0-1' of '0-1 1-2 2-3' is not a CEDS"),
     ],
     ids=["best-first-mismatch", "neighbor-outside-oracle", "minimality-split",

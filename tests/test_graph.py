@@ -1,4 +1,4 @@
-"""Graph construction, parsing, bitmask edge sets, and subgraph helpers."""
+"""Graph construction, parsing, and the helpers over edge masks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
-    EdgeSet,
     Graph,
     ParseError,
     parse_dimacs,
@@ -89,58 +88,6 @@ def test_graph_equality_and_repr(p5, c5):
 
 
 # ---------------------------------------------------------------------------
-# EdgeSet
-
-
-def test_edgeset_basics():
-    s = EdgeSet([3, 1, 1])
-    assert list(s) == [1, 3]
-    assert len(s) == 2
-    assert 1 in s and 2 not in s
-    assert bool(s)
-    assert not EdgeSet([])
-    assert tuple(s) == (1, 3)
-    assert EdgeSet.from_mask(s.mask) == s
-
-
-def test_edgeset_rejects_negative_indices():
-    with pytest.raises(ValueError):
-        EdgeSet([2, -1])
-
-
-def test_edgeset_equality_and_hash():
-    s = EdgeSet([0, 2])
-    assert s == EdgeSet([2, 0])
-    assert s != EdgeSet([0, 1])
-    assert hash(EdgeSet([0, 2])) == hash(s)
-    assert s != {0, 2}  # only an EdgeSet equals an EdgeSet
-    with pytest.raises(TypeError):
-        s | {1}
-
-
-def test_edgeset_algebra():
-    a = EdgeSet([0, 1])
-    b = EdgeSet([1, 2])
-    assert a | b == EdgeSet([0, 1, 2])
-    assert a & b == EdgeSet([1])
-    assert a - b == EdgeSet([0])
-    assert EdgeSet([1]) <= a
-    assert not a <= b
-    assert repr(EdgeSet([2, 0])) == "EdgeSet([0, 2])"
-
-
-@given(st.sets(st.integers(min_value=0, max_value=40)), st.sets(st.integers(min_value=0, max_value=40)))
-@PROPERTY_SETTINGS
-def test_edgeset_mirrors_set_semantics(xs, ys):
-    a, b = EdgeSet(xs), EdgeSet(ys)
-    assert set(a | b) == xs | ys
-    assert set(a & b) == xs & ys
-    assert set(a - b) == xs - ys
-    assert (a <= b) == (xs <= ys)
-    assert (a == b) == (xs == ys)
-
-
-# ---------------------------------------------------------------------------
 # Subgraph helpers
 
 
@@ -156,11 +103,12 @@ def test_component_mask_holds_the_given_edge(p5):
 
 
 def test_is_tree(p5, c5, triangle):
-    assert is_tree(p5, [0, 1, 2, 3])
-    assert is_tree(c5, [0, 1])
-    assert not is_tree(c5, [0, 1, 2, 3, 4])
-    assert not is_tree(triangle, [0, 1, 2])
-    assert not is_tree(p5, [0, 3])
+    assert is_tree(p5, 0b1111)
+    assert is_tree(c5, 0b00011)
+    assert not is_tree(c5, 0b11111)
+    assert not is_tree(triangle, 0b111)
+    assert not is_tree(p5, 0b1001)
+    assert not is_tree(p5, 0)
 
 
 def test_pendant_edges(p5, c5):
@@ -172,7 +120,7 @@ def test_pendant_edges(p5, c5):
 def test_spanning_tree_mask(c5):
     tree = _spanning_tree_mask(c5, c5.all_edges_mask)
     assert tree.bit_count() == 4
-    assert is_tree(c5, EdgeSet.from_mask(tree))
+    assert is_tree(c5, tree)
     with pytest.raises(NotConnectedError):
         _spanning_tree_mask(c5, 0)
     with pytest.raises(NotConnectedError):
@@ -206,7 +154,7 @@ def test_component_split_matches_union_find(n, seed):
     for e, root in zip(picked, roots):
         comp = _component_mask(g, mask, e)
         assert comp == sum(1 << f for f, r in zip(picked, roots) if r == root)
-        assert is_tree(g, EdgeSet.from_mask(comp)) == (
+        assert is_tree(g, comp) == (
             comp.bit_count() == _vertices_mask(g, comp).bit_count() - 1
         )
     degree = Counter(x for e in picked for x in g.edges[e])

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
-    EdgeSet,
+    Solution,
     brute_force_minimal_ceds,
     enumerate_kbest,
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
-from cedsenum.ceds import is_ceds, minimalize, solution_from_edges
+from cedsenum.ceds import _is_ceds_mask, minimalize
 from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import _bits, _component_mask, _vertices_mask, is_tree
 from cedsenum.neighbors import (
@@ -35,9 +35,15 @@ PROPERTY_SETTINGS = settings(
 )
 
 
+def _solution(g, mask):
+    """``mask`` as a Solution, once it is certified a minimal CEDS of g."""
+    assert is_minimal_ceds(g, mask)
+    return Solution(mask)
+
+
 @pytest.fixture
 def c5_solution(c5):
-    return solution_from_edges(c5, [0, 1, 2])
+    return _solution(c5, 0b00111)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +53,7 @@ def c5_solution(c5):
 def test_w_set_frozen_values(c5, p5, c5_solution):
     assert _w_mask(c5, c5_solution.mask, 0) == 1 << 4
     assert _w_mask(c5, c5_solution.mask, 2) == 1 << 4
-    assert _w_mask(p5, solution_from_edges(p5, [1, 2]).mask, 1) == 0
+    assert _w_mask(p5, _solution(p5, 0b0110).mask, 1) == 0
 
 
 def test_w_set_requires_a_pendant_edge(c5, c5_solution):
@@ -55,7 +61,7 @@ def test_w_set_requires_a_pendant_edge(c5, c5_solution):
     # edges of the solution: edge 1 is internal and edge 3 is outside it
     for e in (1, 3):
         with pytest.raises(NotPendantError):
-            type3_neighbor(c5, c5_solution, e)
+            type3_neighbor(c5, c5_solution, e, {})
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +69,7 @@ def test_w_set_requires_a_pendant_edge(c5, c5_solution):
 
 
 def test_type1_moves(c5, c5_solution):
-    results = type1_neighbors(c5, c5_solution)
+    results = type1_neighbors(c5, c5_solution, {})
     keys = {sol.canonical_key for sol, _ in results}
     assert keys == {(0, 1, 2), (2, 3, 4)}  # self-restatements plus one shift
     traces = {prov.trace() for sol, prov in results if sol != c5_solution}
@@ -72,7 +78,7 @@ def test_type1_moves(c5, c5_solution):
 
 
 def test_type2_moves(c5, c5_solution):
-    results = type2_neighbors(c5, c5_solution)
+    results = type2_neighbors(c5, c5_solution, {})
     arrivals = {
         (sol.canonical_key, prov.trace())
         for sol, prov in results
@@ -86,14 +92,14 @@ def test_type2_moves(c5, c5_solution):
 
 
 def test_type2_moves_on_a_path_only_restate_the_solution(p5):
-    x = solution_from_edges(p5, [1, 2])
-    results = type2_neighbors(p5, x)
+    x = _solution(p5, 0b0110)
+    results = type2_neighbors(p5, x, {})
     assert results
     assert {sol.canonical_key for sol, _ in results} == {(1, 2)}
 
 
 def test_type3_move(c5, p5, c5_solution):
-    got = type3_neighbor(c5, c5_solution, 0)
+    got = type3_neighbor(c5, c5_solution, 0, {})
     assert got is not None
     sol, prov = got
     assert isinstance(prov, TypeIII)
@@ -102,7 +108,7 @@ def test_type3_move(c5, p5, c5_solution):
     assert prov.bundle == (3,)
     assert prov.trace() == "TYPE3 e=0 F=3"
     # empty W-set on the path: no third-type move exists
-    assert type3_neighbor(p5, solution_from_edges(p5, [1, 2]), 1) is None
+    assert type3_neighbor(p5, _solution(p5, 0b0110), 1, {}) is None
 
 
 def _type1_by_full_scan(g, x):
@@ -126,8 +132,8 @@ def _type1_by_full_scan(g, x):
                 v = b if a in vi else a
                 for w, g2 in g.adjacency[v]:
                     if w in vj or (g2 == f and v in vj):
-                        cand = EdgeSet.from_mask(rest | (1 << f) | (1 << g2))
-                        if is_ceds(g, cand):
+                        cand = rest | (1 << f) | (1 << g2)
+                        if _is_ceds_mask(g, cand):
                             out.append((minimalize(g, cand), TypeI(e, f, g2)))
     return out
 
@@ -139,7 +145,7 @@ def test_type1_matches_the_full_edge_scan(n, seed):
     xs: list = []
     enumerate_kbest(g, 3, xs.append)
     for x in xs:
-        assert type1_neighbors(g, x) == _type1_by_full_scan(g, x)
+        assert type1_neighbors(g, x, {}) == _type1_by_full_scan(g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +178,8 @@ def test_all_neighbors_excludes_origin_and_duplicates(c5, c5_solution):
 
 
 def test_all_neighbors_is_empty_for_lone_solutions_and_singletons(p5, star3):
-    assert all_neighbors(p5, solution_from_edges(p5, [1, 2])).items == []
-    assert all_neighbors(star3, solution_from_edges(star3, [0])).items == []
+    assert all_neighbors(p5, _solution(p5, 0b0110)).items == []
+    assert all_neighbors(star3, _solution(star3, 0b001)).items == []
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -188,5 +194,5 @@ def test_neighbors_are_minimal_trees(seed):
         assert x.canonical_key not in keys
         assert len(keys) == len(set(keys))
         for sol, _ in batch.items:
-            assert is_minimal_ceds(g, sol.edges)
-            assert is_tree(g, sol.edges)
+            assert is_minimal_ceds(g, sol.mask)
+            assert is_tree(g, sol.mask)

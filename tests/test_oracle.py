@@ -10,14 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
-    EdgeSet,
+    Solution,
     TooLargeError,
     brute_force_minimal_ceds,
     build_supergraph,
     enumerate_kbest,
     oracle,
 )
-from cedsenum.ceds import _is_ceds_mask, solution_from_edges
+from cedsenum.ceds import _is_ceds_mask
 from cedsenum.corpus import random_connected_graph, tiny_corpus
 from cedsenum.enumeration import initial_solution
 from cedsenum.oracle import (
@@ -97,12 +97,11 @@ def test_scale_caps(c5):
 
 
 def test_definitional_minimality(c5, p5):
-    assert is_minimal_ceds_definitional(c5, EdgeSet([0, 1, 2]))
-    assert not is_minimal_ceds_definitional(c5, EdgeSet([0, 1, 2, 3]))
-    assert not is_minimal_ceds_definitional(p5, EdgeSet([0, 1]))
-    assert is_minimal_ceds_by_subsets(c5, EdgeSet([0, 1, 2]))
-    assert not is_minimal_ceds_by_subsets(c5, EdgeSet([0, 1, 2, 3]))
-    assert not is_minimal_ceds_by_subsets(p5, EdgeSet([0, 1]))
+    for minimal in (is_minimal_ceds_definitional, is_minimal_ceds_by_subsets):
+        assert minimal(c5, 0b00111)
+        assert not minimal(c5, 0b01111)
+        assert not minimal(p5, 0b0011)
+        assert not minimal(p5, 0)
 
 
 @given(st.integers(min_value=4, max_value=14), st.integers(min_value=0, max_value=10_000))
@@ -168,8 +167,7 @@ def test_build_supergraph_rejects_trivial_instances(star3):
 
 
 def test_strong_connectivity_detects_missing_return_paths(c5):
-    a = solution_from_edges(c5, [0, 1, 2])
-    b = solution_from_edges(c5, [1, 2, 3])
+    a, b = Solution(0b00111), Solution(0b01110)
     one_way = SupergraphSnapshot(nodes=[a, b], arcs={a: (b,), b: ()})
     assert _strong_connectivity_witness(one_way) == (b, a)
     other_way = SupergraphSnapshot(nodes=[a, b], arcs={a: (), b: (a,)})
