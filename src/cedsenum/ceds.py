@@ -246,7 +246,9 @@ def solution_line(g: Graph, sol: Solution) -> str:
 
     The ids are the relabeled 0..n-1, not the input's labels (the command
     line maps them back); :func:`parse_solution_line` reads the same ids.
+    Raises ValueError when the mask holds an edge the graph lacks.
     """
+    _check_mask(g, sol.mask)
     return " ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in _bits(sol.mask))
 
 

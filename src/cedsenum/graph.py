@@ -42,7 +42,12 @@ class ParseError(ValueError):
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """Yield the set bit positions of ``mask`` in ascending order.
+
+    A negative mask has infinitely many set bits, so it raises ValueError.
+    """
+    if mask < 0:
+        raise ValueError(f"an edge or vertex mask is non-negative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -336,27 +341,42 @@ def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
 
 def _spanning_tree_mask(g: Graph, mask: int) -> int:
     """DFS spanning tree of G[mask] from its smallest vertex, taking incident
-    edges in ascending index order; raises NotConnectedError."""
+    edges in ascending index order; raises NotConnectedError.
+
+    The walk reads only edges of ``mask``.  ``rest`` holds the edges of
+    ``mask`` with an unvisited endpoint: an edge leaves it once both its
+    endpoints are visited.  Each stack frame holds its vertex's edges in
+    ``mask`` at the time of the visit, and ``frame & rest`` are the ones
+    still untried that lead to an unvisited vertex, taken lowest first.
+    That is the order of ``g.adjacency``, so the tree is the one a walk
+    over the adjacency lists gives.  Once ``rest`` is empty every vertex
+    of ``mask`` is visited; an empty stack before that means G[mask] is
+    disconnected.
+    """
     if not mask:
         raise NotConnectedError("empty edge set has no spanning tree")
+    inc, edge_vmask = g.incident_mask, g.edge_vmask
     vm = _vertices_mask(g, mask)
     root = (vm & -vm).bit_length() - 1
     visited = 1 << root
+    reached = inc[root]  # the edges with a visited endpoint
+    rest = mask
     tree = 0
-    stack = [iter(g.adjacency[root])]
-    while stack:
-        advanced = False
-        for w, e in stack[-1]:
-            if mask >> e & 1 and not visited >> w & 1:
-                visited |= 1 << w
-                tree |= 1 << e
-                stack.append(iter(g.adjacency[w]))
-                advanced = True
-                break
-        if not advanced:
+    stack = [mask & reached]
+    while rest:
+        if not stack:
+            raise NotConnectedError("edge set induces a disconnected subgraph")
+        live = stack[-1] & rest
+        if not live:
             stack.pop()
-    if visited != vm:
-        raise NotConnectedError("edge set induces a disconnected subgraph")
+            continue
+        low = live & -live
+        w = (edge_vmask[low.bit_length() - 1] & ~visited).bit_length() - 1
+        visited |= 1 << w
+        tree |= low
+        rest &= ~(inc[w] & reached)
+        reached |= inc[w]
+        stack.append(inc[w] & rest)
     return tree
 
 

@@ -77,6 +77,13 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     maps each candidate mask to its Solution; the moves of one expansion
     share it.
 
+    Types I and II call it only for a mask not yet in ``cache``.  A mask
+    in ``cache`` already has its Solution earlier in the same expansion,
+    so :func:`all_neighbors` would drop the repeat and keep the earlier
+    provenance; skipping it where it is built leaves every batch as it
+    was.  Type III builds one candidate per pendant edge and calls it
+    unconditionally.
+
     Every candidate is a CEDS by construction, so it is not tested.  Let x
     be the expanded minimal CEDS (a tree of two or more edges) and e the
     removed edge.
@@ -122,10 +129,20 @@ def _w_mask(g: Graph, mask: int, e: int) -> int:
 def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
-    Removing internal edge e leaves components C1, C2 (each with an edge).
-    For every edge f with exactly one endpoint in V(C_i) and outside
-    endpoint v, and every edge from v into V(C_j), the pair rejoins the
-    components; f alone suffices when it bridges them (then g = f).
+    Removing internal edge e leaves components C_0, C_1 (each with an
+    edge).  For every edge f with exactly one endpoint in V(C_i) and
+    outside endpoint v, and every edge g from v into V(C_j), the pair
+    rejoins the components; f alone suffices when it bridges them (then
+    g = f).  Each candidate mask is built once: a mask already in
+    ``cache`` is skipped (see :func:`_consider`).
+
+    Side 1 skips every f whose outside endpoint v lies outside V(x): its
+    pairs were all built on side 0 with the roles swapped.  Such an f
+    joins u in V(C_1) to v, g joins v to some w in V(C_0), and g != f
+    since v is not in V(C_0).  On side 0, g is an f: it has the endpoint w
+    in V(C_0), and it is not in x, since v lies outside V(x).  Its outside
+    endpoint is v, and f is one of the edges from v into V(C_1), so side 0
+    built the pair {g, f}, the same mask.
     """
     out: list[tuple[Solution, TypeI]] = []
     edge_vmask = g.edge_vmask
@@ -154,10 +171,15 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
                 inside = fverts & vi
                 if inside == fverts:
                     continue  # a chord of V(C_i); need exactly one endpoint there
-                v = (fverts ^ inside).bit_length() - 1
+                outside = fverts ^ inside
+                if i and not outside & vj:
+                    continue  # v lies outside V(x): side 0 built these pairs
+                v = outside.bit_length() - 1
                 for w, g2 in g.adjacency[v]:
                     if vj >> w & 1 or (g2 == f and vj >> v & 1):
-                        _consider(g, rest | (1 << f) | (1 << g2), TypeI(e, f, g2), out, cache)
+                        cand = rest | (1 << f) | (1 << g2)
+                        if cand not in cache:
+                            _consider(g, cand, TypeI(e, f, g2), out, cache)
     return out
 
 
@@ -166,7 +188,8 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
 
     For pendant edge e with pendant vertex v, every path of length one or
     two from v back to a vertex of G[x - e] is patched in; the path may
-    reuse e itself, which yields the origin again (dropped later).
+    reuse e itself, which yields the origin again (dropped later).  Each
+    candidate mask is built once, as in :func:`type1_neighbors`.
     """
     out: list[tuple[Solution, TypeII]] = []
     mask = x.mask
@@ -176,13 +199,17 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
         rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
         for z, h in g.adjacency[v]:
             if rest_verts >> z & 1:
-                _consider(g, rest | (1 << h), TypeII(e, (h,)), out, cache)
+                cand = rest | (1 << h)
+                if cand not in cache:
+                    _consider(g, cand, TypeII(e, (h,)), out, cache)
         for w, h1 in g.adjacency[v]:
             for z, h2 in g.adjacency[w]:
                 if h2 == h1 or z == v:
                     continue
                 if rest_verts >> z & 1:
-                    _consider(g, rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)), out, cache)
+                    cand = rest | (1 << h1) | (1 << h2)
+                    if cand not in cache:
+                        _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
     return out
 
 

@@ -344,7 +344,7 @@ def _neighbor_closure(run: _GraphRun):
 
 
 def _move_candidates(run: _GraphRun):
-    """Every raw candidate of every move is a CEDS, the proofs in the
+    """Every distinct candidate of every move is a CEDS, the proofs in the
     docstring of ``neighbors._consider`` made executable: the moves
     minimalize their candidates without testing them.  Runs the three move
     types with one shared cache on each sampled node and tests every cached

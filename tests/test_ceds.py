@@ -415,6 +415,11 @@ def test_solution_line_round_trip(p5, c5):
     assert parse_solution_line(c5, line) == 0b00111
 
 
+def test_solution_line_refuses_a_mask_beyond_the_graph(p5):
+    with pytest.raises(ValueError, match="edge 40"):
+        solution_line(p5, Solution(0b110 | 1 << 40))
+
+
 def test_parse_solution_line_errors(p5):
     with pytest.raises(ValueError, match="malformed"):
         parse_solution_line(p5, "1:2")

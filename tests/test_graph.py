@@ -23,6 +23,7 @@ from cedsenum.graph import (
     DuplicateEdgeError,
     NotConnectedError,
     SelfLoopError,
+    _bits,
     _component_mask,
     _pendant_items,
     _spanning_tree_mask,
@@ -125,6 +126,81 @@ def test_spanning_tree_mask(c5):
         _spanning_tree_mask(c5, 0)
     with pytest.raises(NotConnectedError):
         _spanning_tree_mask(c5, 0b00101)
+
+
+def _spanning_tree_by_adjacency(g, mask):
+    """The DFS that walks every graph edge at each visited vertex: a
+    reference for :func:`_spanning_tree_mask`, which walks only mask edges."""
+    if not mask:
+        raise NotConnectedError("empty edge set has no spanning tree")
+    vm = _vertices_mask(g, mask)
+    root = (vm & -vm).bit_length() - 1
+    visited = 1 << root
+    tree = 0
+    stack = [iter(g.adjacency[root])]
+    while stack:
+        advanced = False
+        for w, e in stack[-1]:
+            if mask >> e & 1 and not visited >> w & 1:
+                visited |= 1 << w
+                tree |= 1 << e
+                stack.append(iter(g.adjacency[w]))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+    if visited != vm:
+        raise NotConnectedError("edge set induces a disconnected subgraph")
+    return tree
+
+
+def _random_connected_mask(g, rng, size, chord_share):
+    """A random tree of up to ``size`` edges grown from a random vertex, plus
+    each edge between two of its vertices with probability ``chord_share``;
+    returns the mask and its vertex set."""
+    visited = {rng.randrange(g.n)}
+    mask = 0
+    while mask.bit_count() < size:
+        frontier = [e for e, (u, v) in enumerate(g.edges) if (u in visited) != (v in visited)]
+        if not frontier:
+            break
+        e = rng.choice(frontier)
+        mask |= 1 << e
+        visited.update(g.edges[e])
+    for e, (u, v) in enumerate(g.edges):
+        if u in visited and v in visited and rng.random() < chord_share:
+            mask |= 1 << e
+    return mask, visited
+
+
+@given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=10_000))
+@PROPERTY_SETTINGS
+def test_spanning_tree_mask_matches_the_adjacency_walk(n, seed):
+    """Same tree as the adjacency-list DFS on trees, on masks with cycles and
+    on the whole edge set; both raise on empty and disconnected masks."""
+    rng = random.Random(seed)
+    for density in (0.2, 0.4, 0.7):
+        g = random_connected_graph(n, density, seed)
+        masks = [g.all_edges_mask]
+        for chord_share in (0.0, 0.5):
+            mask, visited = _random_connected_mask(g, rng, rng.randint(1, g.m), chord_share)
+            masks.append(mask)
+        for each in masks:
+            assert _spanning_tree_mask(g, each) == _spanning_tree_by_adjacency(g, each)
+        # the last mask plus an edge that shares no vertex with it
+        apart = [e for e, (u, v) in enumerate(g.edges) if u not in visited and v not in visited]
+        bad = [0] + ([mask | 1 << rng.choice(apart)] if apart else [])
+        for each in bad:
+            for spanning_tree in (_spanning_tree_mask, _spanning_tree_by_adjacency):
+                with pytest.raises(NotConnectedError):
+                    spanning_tree(g, each)
+
+
+def test_bits_refuses_a_negative_mask():
+    # a negative int has infinitely many set bits; the walk must not loop
+    with pytest.raises(ValueError, match="non-negative"):
+        next(_bits(-1))
+    assert list(_bits(0b10110)) == [1, 2, 4]
 
 
 def _union_find_roots(edges: list[tuple[int, int]]) -> list[int]:

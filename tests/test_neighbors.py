@@ -15,12 +15,21 @@ from cedsenum import (
 )
 from cedsenum.ceds import _is_ceds_mask, minimalize
 from cedsenum.corpus import random_connected_graph
-from cedsenum.graph import _bits, _component_mask, _vertices_mask, is_tree
+from cedsenum.graph import (
+    _bits,
+    _component_mask,
+    _dominated_mask,
+    _pendant_items,
+    _vertex_degree_masks,
+    _vertices_mask,
+    is_tree,
+)
 from cedsenum.neighbors import (
     NotPendantError,
     TypeI,
     TypeII,
     TypeIII,
+    _consider,
     _w_mask,
     all_neighbors,
     type1_neighbors,
@@ -68,12 +77,21 @@ def test_w_set_requires_a_pendant_edge(c5, c5_solution):
 # Individual move families on the five-cycle
 
 
+def _type1_candidate(x, prov):
+    """The candidate mask a Type I move builds: x - e + f + g."""
+    return x.mask ^ (1 << prov.e) | (1 << prov.f) | (1 << prov.g)
+
+
 def test_type1_moves(c5, c5_solution):
     results = type1_neighbors(c5, c5_solution, {})
     keys = {sol.canonical_key for sol, _ in results}
     assert keys == {(0, 1, 2), (2, 3, 4)}  # self-restatements plus one shift
-    traces = {prov.trace() for sol, prov in results if sol != c5_solution}
-    assert traces == {"TYPE1 e=1 f=4 g=3", "TYPE1 e=1 f=3 g=4"}
+    traces = [prov.trace() for sol, prov in results if sol != c5_solution]
+    assert traces == ["TYPE1 e=1 f=4 g=3"]
+    # the mirror pair f=3, g=4 (built from the other side) is the same mask
+    assert _type1_candidate(c5_solution, TypeI(1, 3, 4)) == _type1_candidate(
+        c5_solution, TypeI(1, 4, 3)
+    )
     assert all(isinstance(prov, TypeI) for _, prov in results)
 
 
@@ -145,7 +163,88 @@ def test_type1_matches_the_full_edge_scan(n, seed):
     xs: list = []
     enumerate_kbest(g, 3, xs.append)
     for x in xs:
-        assert type1_neighbors(g, x, {}) == _type1_by_full_scan(g, x)
+        # each candidate mask is built once, so the scan is compared with
+        # its first build of each mask
+        first: dict = {}
+        for sol, prov in _type1_by_full_scan(g, x):
+            first.setdefault(_type1_candidate(x, prov), (sol, prov))
+        assert type1_neighbors(g, x, {}) == list(first.values())
+
+
+def _all_neighbors_building_every_pair(g, x):
+    """All moves from x, every Type I and Type II pair built and passed to
+    ``_consider`` whether its mask is cached or not (the loops before each
+    candidate was built once).  Returns the batch items and the cache."""
+    cache: dict = {}
+    raw: list = []
+    edge_vmask = g.edge_vmask
+    mask = x.mask
+    vm, inner = _vertex_degree_masks(g, mask)
+    for e in _bits(mask):
+        if edge_vmask[e] & ~inner:
+            continue
+        rest = mask ^ (1 << e)
+        c0 = _component_mask(g, rest, (rest & -rest).bit_length() - 1)
+        comps = (c0, rest ^ c0)
+        v0 = _vertices_mask(g, c0)
+        vmasks = (v0, vm & ~v0)
+        for i in (0, 1):
+            vi, vj = vmasks[i], vmasks[1 - i]
+            for f in _bits(_dominated_mask(g, comps[i]) & ~comps[i]):
+                fverts = edge_vmask[f]
+                inside = fverts & vi
+                if inside == fverts:
+                    continue
+                v = (fverts ^ inside).bit_length() - 1
+                for w, g2 in g.adjacency[v]:
+                    if vj >> w & 1 or (g2 == f and vj >> v & 1):
+                        _consider(g, rest | (1 << f) | (1 << g2), TypeI(e, f, g2), raw, cache)
+    pendants = _pendant_items(g, mask)
+    for e, v in pendants:
+        rest = mask ^ (1 << e)
+        rest_verts = vm ^ (1 << v)
+        for z, h in g.adjacency[v]:
+            if rest_verts >> z & 1:
+                _consider(g, rest | (1 << h), TypeII(e, (h,)), raw, cache)
+        for w, h1 in g.adjacency[v]:
+            for z, h2 in g.adjacency[w]:
+                if h2 != h1 and z != v and rest_verts >> z & 1:
+                    _consider(g, rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)), raw, cache)
+    for e, _ in pendants:
+        hit = type3_neighbor(g, x, e, cache)
+        if hit is not None:
+            raw.append(hit)
+    seen = {x.mask}
+    items = []
+    for sol, prov in raw:
+        if sol.mask not in seen:
+            seen.add(sol.mask)
+            items.append((sol, prov))
+    return items, cache
+
+
+@given(st.integers(min_value=4, max_value=16), st.integers(min_value=0, max_value=10_000))
+@PROPERTY_SETTINGS
+def test_all_neighbors_matches_building_every_pair(n, seed):
+    """Skipping the repeats where they are built leaves every batch, its
+    order and its provenance, as it was, and minimalizes the same masks."""
+    g = random_connected_graph(n, 0.3, seed)
+    if min_ceds_is_singleton(g) is not None:
+        return
+    xs: list = []
+    enumerate_kbest(g, 5, xs.append)
+    for x in xs:
+        items, ref_cache = _all_neighbors_building_every_pair(g, x)
+        got = all_neighbors(g, x).items
+        assert [(sol.mask, prov.trace()) for sol, prov in got] == [
+            (sol.mask, prov.trace()) for sol, prov in items
+        ]
+        cache: dict = {}
+        type1_neighbors(g, x, cache)
+        type2_neighbors(g, x, cache)
+        for e, _ in _pendant_items(g, x.mask):
+            type3_neighbor(g, x, e, cache)
+        assert cache.keys() == ref_cache.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -59,22 +59,25 @@ def test_tracer_counts_the_hot_path(c5):
     assert tracer.calls["ceds.minimalize"] > 0
     for kind in ("type1", "type2", "type3"):
         assert tracer.counts[f"neighbors.candidates.{kind}"] > 0
+    # each candidate mask is built once per expansion, so none is a repeat
+    assert tracer.counts["neighbors.cache_hits"] == 0
     assert cedsenum.neighbors._consider is consider
     assert cedsenum.enumeration.all_neighbors is cedsenum.neighbors.all_neighbors
 
 
 def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     """The k=20 run of the golden digest test.  A faster candidate path
-    must still try the same moves, hit the cache as often, minimalize as
-    often and self-check every batch item.  The moves build CEDS by
+    must still build the same distinct candidates, minimalize as often and
+    self-check every batch item.  Each candidate mask is built once per
+    expansion, so the cache is never hit, and the moves build CEDS by
     construction, so no candidate is CEDS-tested."""
     g = random_connected_graph(14, 0.18, 8)
     tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     counts = {
-        "neighbors.candidates.type1": 717,
-        "neighbors.candidates.type2": 321,
+        "neighbors.candidates.type1": 155,
+        "neighbors.candidates.type2": 104,
         "neighbors.candidates.type3": 69,
-        "neighbors.cache_hits": 779,
+        "neighbors.cache_hits": 0,
         "neighbors.batch_items": 230,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
