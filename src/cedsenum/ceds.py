@@ -113,13 +113,13 @@ def is_minimal_ceds(g: Graph, mask: int) -> bool:
 def _minimalize_mask(g: Graph, mask: int) -> int:
     """Prune a CEDS mask to a minimal one; assumes the input is a CEDS.
 
-    Every neighbor move builds its candidates as CEDS (see
+    Every neighbor move builds its candidates as CEDS trees (see
     :func:`cedsenum.neighbors._consider`), so the precondition holds by
     construction and is not tested here.  A connected mask with one edge
     fewer than it has vertices is already a tree, and the only spanning
-    tree of a tree is itself, so the DFS is run only on masks with a cycle.
-    The shortcut relies on the precondition: a disconnected mask can meet
-    the same count.
+    tree of a tree is itself, so the DFS is run only on masks with a cycle,
+    which only :func:`minimalize` passes.  The shortcut relies on the
+    precondition: a disconnected mask can meet the same count.
 
     The pendant edges of the tree T are then tried smallest first.  The
     edge at leaf ``ell`` stays iff ``ell`` has a neighbour outside V(T), the

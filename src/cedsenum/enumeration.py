@@ -96,9 +96,14 @@ def _run(
         sols = enumerate_trivial(g)
         if kbest and k is not None:
             sols = sols[:k]
-        for sol in sols:
+        # the closed form records each solution as it is emitted, so the
+        # guard trips once N are out and another remains; no visited set
+        # is kept, and peak_visited stays 0
+        for sol in sols[:max_visited]:
             emit(sol)
             stats.expansions += 1  # each output is produced directly, no batches
+        if max_visited is not None and len(sols) > max_visited:
+            raise MaxVisitedExceeded(max_visited)
         return finalize()
 
     if kbest:

@@ -73,20 +73,25 @@ class NeighborBatch:
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
-    """Minimalize a candidate mask and append (Solution, prov).  ``cache``
-    maps each candidate mask to its Solution; the moves of one expansion
+    """Minimalize a candidate tree and append (Solution, prov).  ``cache``
+    maps each candidate tree to its Solution; the moves of one expansion
     share it.
 
-    Types I and II call it only for a mask not yet in ``cache``.  A mask
-    in ``cache`` already has its Solution earlier in the same expansion,
-    so :func:`all_neighbors` would drop the repeat and keep the earlier
-    provenance; skipping it where it is built leaves every batch as it
-    was.  Type III builds one candidate per pendant edge and calls it
-    unconditionally.
+    Every candidate is a tree.  Types I and II break the one cycle a
+    candidate can hold where they build it, at the edge the spanning-tree
+    DFS would leave out (:func:`_dfs_cut`), so :func:`_minimalize_mask`
+    takes its tree branch and returns what it returns for the candidate
+    with its cycle.  Types I and II call this only for a tree not yet in
+    ``cache``.  A tree in ``cache`` already has its Solution earlier in the
+    same expansion, so :func:`all_neighbors` would drop the repeat and keep
+    the earlier provenance; skipping it where it is built leaves every
+    batch as it was.  Type III builds one candidate per pendant edge and
+    calls it unconditionally.
 
-    Every candidate is a CEDS by construction, so it is not tested.  Let x
-    be the expanded minimal CEDS (a tree of two or more edges) and e the
-    removed edge.
+    Every candidate is a CEDS by construction, so it is not tested; a tree
+    left after breaking a cycle keeps every vertex and so is a CEDS too.
+    Let x be the expanded minimal CEDS (a tree of two or more edges) and e
+    the removed edge.
 
     - Type I: e is internal, so both its endpoints keep another edge of
       x - e and everything e dominated stays dominated.  f leaves one
@@ -102,13 +107,58 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
       (v, w) and joins the set.
 
     A candidate that broke these proofs would not pass silently: the
-    spanning tree DFS raises :class:`NotConnectedError` on some
-    disconnected ones, and the self-check in :func:`all_neighbors` fails on
-    any result that is not a minimal CEDS.
+    self-check in :func:`all_neighbors` fails on any result that is not a
+    minimal CEDS.
     """
     if cand not in cache:
         cache[cand] = Solution(_minimalize_mask(g, cand))
     out.append((cache[cand], prov))
+
+
+def _rooted(g: Graph, mask: int, root: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The tree ``mask`` rooted at ``root``: for each vertex of it, the
+    vertex mask of its ancestors (itself included) and the edges of the
+    path from the root down to it, the last one its parent edge.  Vertices
+    outside the tree read 0 and ()."""
+    anc = [0] * g.n
+    chain: list[tuple[int, ...]] = [()] * g.n
+    anc[root] = 1 << root
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w, h in g.adjacency[u]:
+            if mask >> h & 1 and not anc[w]:
+                anc[w] = anc[u] | 1 << w
+                chain[w] = chain[u] + (h,)
+                stack.append(w)
+    return anc, chain
+
+
+def _dfs_cut(
+    anc: list[int], chain: list[tuple[int, ...]], a: int, b: int, chord: int, at_a: int
+) -> int:
+    """The edge :func:`_spanning_tree_mask` leaves out of a tree plus the
+    chord (a, b), with ``anc`` and ``chain`` from :func:`_rooted` at the
+    DFS root r.
+
+    The cycle is the tree path from a to b and the chord.  Every path from
+    r to the cycle enters it at one vertex c, so the walk reaches no other
+    cycle vertex before c.  At c it takes the lower of its two cycle
+    edges, goes round the cycle, which is the only way between two cycle
+    vertices once c is visited, and finds the higher one closing back on
+    c: that edge is left out, and every other edge is in the tree.  The
+    callers root the tree the moves started from, which agrees with the
+    candidate's tree on every path the walk takes up to c.  c is a when
+    the walk enters through the new edge at a (``at_a``), and otherwise
+    the lowest common ancestor of a and b.
+    """
+    if at_a:
+        depth = len(chain[a])
+        toward_b = chain[b][depth] if anc[b] >> a & 1 else chain[a][-1]
+        return max(chord, toward_b)
+    depth = (anc[a] & anc[b]).bit_count() - 1  # of the lowest common ancestor
+    ca, cb = chain[a], chain[b]
+    return max(ca[depth] if len(ca) > depth else chord, cb[depth] if len(cb) > depth else chord)
 
 
 def _w_mask(g: Graph, mask: int, e: int) -> int:
@@ -133,7 +183,7 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
     edge).  For every edge f with exactly one endpoint in V(C_i) and
     outside endpoint v, and every edge g from v into V(C_j), the pair
     rejoins the components; f alone suffices when it bridges them (then
-    g = f).  Each candidate mask is built once: a mask already in
+    g = f).  Each candidate is built once, as a tree: a tree already in
     ``cache`` is skipped (see :func:`_consider`).
 
     Side 1 skips every f whose outside endpoint v lies outside V(x): its
@@ -143,11 +193,20 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
     in V(C_0), and it is not in x, since v lies outside V(x).  Its outside
     endpoint is v, and f is one of the edges from v into V(C_1), so side 0
     built the pair {g, f}, the same mask.
+
+    A candidate holds a cycle only when f bridges C_i and C_j (v lies in
+    V(C_j)) and g is a chord of C_j.  The spanning-tree DFS roots it at
+    r = min V(x) and enters the cycle at v when r lies in V(C_i), and
+    otherwise at the lowest common ancestor of v and w in x rooted at r;
+    the candidate becomes the tree it would give (:func:`_dfs_cut`), with
+    x rooted once per call, at the first chord.
     """
     out: list[tuple[Solution, TypeI]] = []
     edge_vmask = g.edge_vmask
     mask = x.mask
     vm, inner = _vertex_degree_masks(g, mask)
+    r = (vm & -vm).bit_length() - 1
+    anc = chain = None
     for e in _bits(mask):
         if edge_vmask[e] & ~inner:
             continue  # pendant edges are handled by Types II and III
@@ -160,6 +219,7 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
         vmasks = (v0, vm & ~v0)
         for i in (0, 1):
             vi, vj = vmasks[i], vmasks[1 - i]
+            enters_at_v = vi >> r & 1  # the DFS reaches a cycle through f
             # every edge with an endpoint in V(C_i) shares it with an edge
             # of C_i, so only the edges C_i dominates need a look
             boundary = _dominated_mask(g, comps[i]) & ~comps[i]
@@ -175,9 +235,14 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
                 if i and not outside & vj:
                     continue  # v lies outside V(x): side 0 built these pairs
                 v = outside.bit_length() - 1
+                bridges = vj >> v & 1
                 for w, g2 in g.adjacency[v]:
-                    if vj >> w & 1 or (g2 == f and vj >> v & 1):
+                    if vj >> w & 1 or (g2 == f and bridges):
                         cand = rest | (1 << f) | (1 << g2)
+                        if bridges and g2 != f and not rest >> g2 & 1:
+                            if anc is None:
+                                anc, chain = _rooted(g, mask, r)
+                            cand ^= 1 << _dfs_cut(anc, chain, v, w, g2, enters_at_v)
                         if cand not in cache:
                             _consider(g, cand, TypeI(e, f, g2), out, cache)
     return out
@@ -189,11 +254,20 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
     For pendant edge e with pendant vertex v, every path of length one or
     two from v back to a vertex of G[x - e] is patched in; the path may
     reuse e itself, which yields the origin again (dropped later).  Each
-    candidate mask is built once, as in :func:`type1_neighbors`.
+    candidate is built once, as in :func:`type1_neighbors`.
+
+    A candidate holds a cycle only when the middle vertex w of a two-edge
+    path lies in V(x - e) and the second edge h2 is not in x: h2 is then a
+    chord.  The spanning-tree DFS roots it at r = min V(x) and enters the
+    cycle at w when r is the leaf v, and otherwise at the lowest common
+    ancestor of w and the path's end in x rooted at r; the candidate
+    becomes the tree it would give, as in :func:`type1_neighbors`.
     """
     out: list[tuple[Solution, TypeII]] = []
     mask = x.mask
     vm = _vertices_mask(g, mask)
+    r = (vm & -vm).bit_length() - 1
+    anc = chain = None
     for e, v in _pendant_items(g, mask):
         rest = mask ^ (1 << e)
         rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
@@ -203,11 +277,16 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
                 if cand not in cache:
                     _consider(g, cand, TypeII(e, (h,)), out, cache)
         for w, h1 in g.adjacency[v]:
+            rejoins = rest_verts >> w & 1  # h1 alone puts v back
             for z, h2 in g.adjacency[w]:
                 if h2 == h1 or z == v:
                     continue
                 if rest_verts >> z & 1:
                     cand = rest | (1 << h1) | (1 << h2)
+                    if rejoins and not rest >> h2 & 1:
+                        if anc is None:
+                            anc, chain = _rooted(g, mask, r)
+                        cand ^= 1 << _dfs_cut(anc, chain, w, z, h2, v == r)
                     if cand not in cache:
                         _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
     return out

@@ -348,7 +348,9 @@ def _move_candidates(run: _GraphRun):
     docstring of ``neighbors._consider`` made executable: the moves
     minimalize their candidates without testing them.  Runs the three move
     types with one shared cache on each sampled node and tests every cached
-    candidate mask."""
+    candidate.  The cache holds a candidate with a cycle as the tree the
+    moves break it to, and a CEDS tree inside a candidate makes the
+    candidate a CEDS, so testing the tree covers both."""
     g, nodes = run.g, run.solutions
     if len(nodes) > CANDIDATE_SAMPLE:
         nodes = [nodes[i * len(nodes) // CANDIDATE_SAMPLE] for i in range(CANDIDATE_SAMPLE)]

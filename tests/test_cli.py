@@ -297,6 +297,20 @@ def test_enumerate_max_visited_exits_3(c5_file, capsys):
     assert "visited-solution limit" in err
 
 
+@pytest.mark.parametrize("command", [["enumerate"], ["kbest", "-k", "100"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("limit, code", [("2", 3), ("6", 0), ("7", 0)])
+def test_max_visited_on_a_trivial_instance(tmp_path, k23_plus, capsys, command, limit, code):
+    """k23_plus has 6 solutions, all from the closed form: the guard stops
+    the output after exactly N lines, and only when more remain."""
+    path = tmp_path / "k23_plus.edges"
+    path.write_text(to_edge_list_text(k23_plus))
+    args = [*command, str(path), "--max-visited", limit, "--output", "solutions"]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == min(int(limit), 6)
+    assert ("visited-solution limit" in err) == (code == 3)
+
+
 # ---------------------------------------------------------------------------
 # kbest
 

@@ -102,6 +102,30 @@ def test_max_visited_guard(c5):
     assert len(got) == 1  # the start node streamed before the guard tripped
 
 
+@pytest.mark.parametrize("run", [
+    lambda g, sink, limit: enumerate_all(g, sink, max_visited=limit),
+    lambda g, sink, limit: enumerate_kbest(g, 100, sink, max_visited=limit),
+], ids=["all", "kbest"])
+def test_max_visited_guard_on_a_trivial_instance(k23_plus, run):
+    """The closed form of a trivial instance (6 solutions here) obeys the
+    guard too: N solutions come out, then it trips if another remains."""
+    got = []
+    with pytest.raises(MaxVisitedExceeded):
+        run(k23_plus, got.append, 2)
+    assert len(got) == 2
+    for limit in (6, 7):
+        got = []
+        stats = run(k23_plus, got.append, limit)
+        assert len(got) == stats.outputs == 6
+        assert stats.peak_visited == 0  # no visited set on the trivial path
+
+
+def test_max_visited_guard_counts_the_k_capped_list(k23_plus):
+    got = []
+    enumerate_kbest(k23_plus, 3, got.append, max_visited=3)
+    assert len(got) == 3
+
+
 def test_neighbor_cache_reuse(c5):
     cache: dict = {}
     first, _ = _collect_all(c5, neighbor_cache=cache)

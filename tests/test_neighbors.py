@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
+    Graph,
     Solution,
     brute_force_minimal_ceds,
     enumerate_kbest,
@@ -20,6 +21,7 @@ from cedsenum.graph import (
     _component_mask,
     _dominated_mask,
     _pendant_items,
+    _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
     is_tree,
@@ -163,11 +165,11 @@ def test_type1_matches_the_full_edge_scan(n, seed):
     xs: list = []
     enumerate_kbest(g, 3, xs.append)
     for x in xs:
-        # each candidate mask is built once, so the scan is compared with
-        # its first build of each mask
+        # each candidate is built once, as the tree the DFS keeps of it, so
+        # the scan is compared with its first build of each such tree
         first: dict = {}
         for sol, prov in _type1_by_full_scan(g, x):
-            first.setdefault(_type1_candidate(x, prov), (sol, prov))
+            first.setdefault(_spanning_tree_mask(g, _type1_candidate(x, prov)), (sol, prov))
         assert type1_neighbors(g, x, {}) == list(first.values())
 
 
@@ -226,8 +228,9 @@ def _all_neighbors_building_every_pair(g, x):
 @given(st.integers(min_value=4, max_value=16), st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
 def test_all_neighbors_matches_building_every_pair(n, seed):
-    """Skipping the repeats where they are built leaves every batch, its
-    order and its provenance, as it was, and minimalizes the same masks."""
+    """Breaking each cycle where it is built and skipping the repeats
+    leave every batch, its order and its provenance, as they were, and
+    minimalize the DFS tree of every candidate the reference built."""
     g = random_connected_graph(n, 0.3, seed)
     if min_ceds_is_singleton(g) is not None:
         return
@@ -244,7 +247,66 @@ def test_all_neighbors_matches_building_every_pair(n, seed):
         type2_neighbors(g, x, cache)
         for e, _ in _pendant_items(g, x.mask):
             type3_neighbor(g, x, e, cache)
-        assert cache.keys() == ref_cache.keys()
+        assert cache.keys() == {_spanning_tree_mask(g, cand) for cand in ref_cache}
+
+
+def _trees_by_move(move, g, x):
+    """The tree each move of ``move`` from x passed to ``_consider``: with a
+    fresh cache, each call adds one key, in the order of the batch."""
+    cache: dict = {}
+    out = move(g, x, cache)
+    assert len(out) == len(cache)
+    return {prov: tree for (_, prov), tree in zip(out, cache)}
+
+
+# edges 2 (3-4) and 3 (0-3) are the chord and the new edge of both cases
+# that enter the cycle at a chord endpoint; x is edges 0, 1, 4 and 5
+_ENTRY_AT_ENDPOINT = [(0, 1), (1, 2), (3, 4), (0, 3), (2, 3), (2, 4), (0, 5), (3, 6), (4, 7)]
+
+
+@pytest.mark.parametrize(
+    "edges, x_edges, move, prov, cut",
+    [
+        # r = 0 in C_j = {0-1, 1-2, 1-3}; f = 2-5 bridges to v = 2 and the
+        # chord 2-3 closes 1-2-3 below the interior ancestor c = 1
+        pytest.param(
+            [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (2, 5), (2, 3), (2, 6), (3, 7), (5, 8)],
+            [0, 1, 2, 3, 4], type1_neighbors, TypeI(3, 5, 6), 2, id="type1-interior-lca",
+        ),
+        # leaf 3 goes, 3-0-1 comes back: the chord 0-1 closes 0-2-1 at
+        # c = 0, its own endpoint and the lowest common ancestor
+        pytest.param(
+            [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3), (0, 4), (3, 5)],
+            [1, 2, 3], type2_neighbors, TypeII(3, (4, 0)), 1, id="type2-lca-at-chord-endpoint",
+        ),
+        # e = 1-2 leaves r = 0 in C_i = {0-1}, so the DFS comes in by
+        # f = 0-3 and meets the cycle 3-4-2 at v = 3, not at the LCA 2
+        pytest.param(
+            _ENTRY_AT_ENDPOINT, [0, 1, 4, 5], type1_neighbors, TypeI(1, 3, 2), 4,
+            id="type1-root-in-c-i",
+        ),
+        # the leaf 0 = r goes, and the path 0-3-4 comes back: the DFS
+        # comes in by 0-3 and meets the cycle at w = 3, not at the LCA 2
+        pytest.param(
+            _ENTRY_AT_ENDPOINT, [0, 1, 4, 5], type2_neighbors, TypeII(0, (3, 2)), 4,
+            id="type2-root-at-removed-leaf",
+        ),
+    ],
+)
+def test_a_cycle_is_broken_where_the_dfs_breaks_it(edges, x_edges, move, prov, cut):
+    """The four places the DFS can enter a candidate's one cycle.  At the
+    entry c it leaves out the higher of c's two cycle edges; the lower
+    one is the tree edge ``cut`` when that is not the chord, so taking the
+    lower edge or entering at the LCA gives another tree."""
+    g = Graph.from_edge_list(edges)
+    assert g.edges == tuple(edges)  # vertex and edge ids as written
+    x = _solution(g, sum(1 << e for e in x_edges))
+    added = (prov.f, prov.g) if isinstance(prov, TypeI) else prov.path
+    cand = x.mask ^ (1 << prov.e) | sum(1 << h for h in added)
+    assert cand.bit_count() == x.size + 1  # a tree plus one chord
+    tree = cand ^ (1 << cut)
+    assert _spanning_tree_mask(g, cand) == tree
+    assert _trees_by_move(move, g, x)[prov] == tree
 
 
 # ---------------------------------------------------------------------------

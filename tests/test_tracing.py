@@ -68,19 +68,22 @@ def test_tracer_counts_the_hot_path(c5):
 def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     """The k=20 run of the golden digest test.  A faster candidate path
     must still build the same distinct candidates, minimalize as often and
-    self-check every batch item.  Each candidate mask is built once per
-    expansion, so the cache is never hit, and the moves build CEDS by
-    construction, so no candidate is CEDS-tested."""
+    self-check every batch item.  Each candidate is built once per
+    expansion, as the tree the DFS would keep of it, so the cache is never
+    hit, no DFS runs on the candidate path, and the moves build CEDS by
+    construction, so no candidate is CEDS-tested.  Type I builds 147
+    distinct trees from its 155 distinct candidate masks."""
     g = random_connected_graph(14, 0.18, 8)
     tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     counts = {
-        "neighbors.candidates.type1": 155,
+        "neighbors.candidates.type1": 147,
         "neighbors.candidates.type2": 104,
         "neighbors.candidates.type3": 69,
         "neighbors.cache_hits": 0,
         "neighbors.batch_items": 230,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 329
+    assert tracer.calls["ceds.minimalize"] == 321
     assert tracer.calls["ceds.self_check"] == 230
     assert tracer.calls["ceds.is_ceds"] == 0
+    assert tracer.calls["graph.spanning_tree"] == 0
