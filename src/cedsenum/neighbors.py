@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ceds import Solution, _minimalize_mask, _private_mask, is_minimal_ceds
+from .ceds import Solution, _minimalize_mask, is_minimal_ceds
 from .graph import (
     Graph,
     _bits,
@@ -24,10 +24,6 @@ from .graph import (
 # ``benchmarks/tracing.py`` binds ``_is_ceds_mask`` in this module by name, so
 # it stays imported here although no move tests its candidates
 from .ceds import _is_ceds_mask  # noqa: F401
-
-
-class NotPendantError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,29 @@ class NeighborBatch:
     items: list[tuple[Solution, Provenance]]
 
 
+@dataclass(frozen=True, slots=True)
+class _View:
+    """The expanded solution x, walked once for all three moves: its mask,
+    V(x) and its inner vertices (degree two or more in x), its pendant
+    items (edge, leaf) in ascending edge order, and x rooted at
+    r = min V(x) (:func:`_rooted`)."""
+
+    mask: int
+    vm: int
+    inner: int
+    pendants: list[tuple[int, int]]
+    r: int
+    anc: list[int]
+    chain: list[tuple[int, ...]]
+
+
+def _view(g: Graph, x: Solution) -> _View:
+    mask = x.mask
+    vm, inner = _vertex_degree_masks(g, mask)
+    r = (vm & -vm).bit_length() - 1
+    return _View(mask, vm, inner, _pendant_items(g, mask), r, *_rooted(g, mask, r))
+
+
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
     """Minimalize a candidate tree and append (Solution, prov).  ``cache``
     maps each candidate tree to its Solution; the moves of one expansion
@@ -86,7 +105,8 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     same expansion, so :func:`all_neighbors` would drop the repeat and keep
     the earlier provenance; skipping it where it is built leaves every
     batch as it was.  Type III builds one candidate per pendant edge and
-    calls it unconditionally.
+    calls it unconditionally.  :func:`_moves` runs the three with one
+    ``cache`` per expansion.
 
     Every candidate is a CEDS by construction, so it is not tested; a tree
     left after breaking a cycle keeps every vertex and so is a CEDS too.
@@ -101,10 +121,9 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     - Type II: every edge that only e dominated sits at the leaf v, and the
       path starts at v, which puts v back; it ends in V(x - e), which is
       nonempty since x has two or more edges.
-    - Type III: every private edge of e is (v, w) with w outside V(x).  The
-      move is skipped when v touches a pendant edge of G, so every such w
-      lies in W, and each w gets an edge into V(x - e), which dominates
-      (v, w) and joins the set.
+    - Type III: the private edges of e are the edges (v, w) with w in
+      W = N(v) - V(x), and each w gets an edge into V(x - e), which
+      dominates (v, w) and joins the set (:func:`type3_neighbor`).
 
     A candidate that broke these proofs would not pass silently: the
     self-check in :func:`all_neighbors` fails on any result that is not a
@@ -161,22 +180,7 @@ def _dfs_cut(
     return max(ca[depth] if len(ca) > depth else chord, cb[depth] if len(cb) > depth else chord)
 
 
-def _w_mask(g: Graph, mask: int, e: int) -> int:
-    """Vertex mask of the vertices off ``e`` incident to a private edge of
-    ``e`` that is not a pendant edge of the whole graph.  The caller has
-    checked that ``e`` is pendant in G[mask]."""
-    priv = _private_mask(g, mask, e)
-    assert priv or mask.bit_count() == 1, "pendant edge of a minimal CEDS must have a private edge"
-    verts = 0
-    for h in _bits(priv):
-        hu, hv = g.edges[h]
-        if g.degrees[hu] == 1 or g.degrees[hv] == 1:
-            continue  # pendant in G
-        verts |= g.edge_vmask[h]
-    return verts & ~g.edge_vmask[e]
-
-
-def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, TypeI]]:
+def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
     Removing internal edge e leaves components C_0, C_1 (each with an
@@ -198,15 +202,12 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
     V(C_j)) and g is a chord of C_j.  The spanning-tree DFS roots it at
     r = min V(x) and enters the cycle at v when r lies in V(C_i), and
     otherwise at the lowest common ancestor of v and w in x rooted at r;
-    the candidate becomes the tree it would give (:func:`_dfs_cut`), with
-    x rooted once per call, at the first chord.
+    the candidate becomes the tree it would give (:func:`_dfs_cut`), read
+    off the rooting in ``view``.
     """
     out: list[tuple[Solution, TypeI]] = []
     edge_vmask = g.edge_vmask
-    mask = x.mask
-    vm, inner = _vertex_degree_masks(g, mask)
-    r = (vm & -vm).bit_length() - 1
-    anc = chain = None
+    mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
     for e in _bits(mask):
         if edge_vmask[e] & ~inner:
             continue  # pendant edges are handled by Types II and III
@@ -240,15 +241,13 @@ def type1_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
                     if vj >> w & 1 or (g2 == f and bridges):
                         cand = rest | (1 << f) | (1 << g2)
                         if bridges and g2 != f and not rest >> g2 & 1:
-                            if anc is None:
-                                anc, chain = _rooted(g, mask, r)
                             cand ^= 1 << _dfs_cut(anc, chain, v, w, g2, enters_at_v)
                         if cand not in cache:
                             _consider(g, cand, TypeI(e, f, g2), out, cache)
     return out
 
 
-def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, TypeII]]:
+def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeII]]:
     """Moves that replace a pendant edge by a short escape path.
 
     For pendant edge e with pendant vertex v, every path of length one or
@@ -264,11 +263,8 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
     becomes the tree it would give, as in :func:`type1_neighbors`.
     """
     out: list[tuple[Solution, TypeII]] = []
-    mask = x.mask
-    vm = _vertices_mask(g, mask)
-    r = (vm & -vm).bit_length() - 1
-    anc = chain = None
-    for e, v in _pendant_items(g, mask):
+    mask, vm, r, anc, chain = view.mask, view.vm, view.r, view.anc, view.chain
+    for e, v in view.pendants:
         rest = mask ^ (1 << e)
         rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
         for z, h in g.adjacency[v]:
@@ -284,47 +280,54 @@ def type2_neighbors(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, 
                 if rest_verts >> z & 1:
                     cand = rest | (1 << h1) | (1 << h2)
                     if rejoins and not rest >> h2 & 1:
-                        if anc is None:
-                            anc, chain = _rooted(g, mask, r)
                         cand ^= 1 << _dfs_cut(anc, chain, w, z, h2, v == r)
                     if cand not in cache:
                         _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
     return out
 
 
-def type3_neighbor(g: Graph, x: Solution, e: int, cache: dict) -> tuple[Solution, TypeIII] | None:
-    """The unique move that drops pendant edge e and re-covers its W-vertices.
+def type3_neighbor(
+    g: Graph, view: _View, e: int, v: int, cache: dict
+) -> tuple[Solution, TypeIII] | None:
+    """The unique move that drops pendant edge e, with leaf v, and re-covers
+    its W-vertices.
 
-    Returns None when the pendant vertex touches a pendant edge of the
-    whole graph (the move is undefined there).  Each W-vertex contributes
-    its smallest-index edge back to V(G[x - e]).
+    x is a minimal tree of two or more edges, so the private edges of e are
+    exactly the edges (v, w) with w outside V(x) (:func:`is_minimal_ceds`):
+    W = N(v) - V(x), nonempty.  The move is undefined, and None returned,
+    when v touches a pendant edge of G, that is, when some w in W has
+    degree 1 in G: v has its parent and W as neighbors, and every neighbor
+    of v in V(x) has an edge of x besides the one to v.  Every other w has
+    an edge (w, y) with y != v, which x dominates; w lies outside V(x), so
+    y lies in V(x) - v = V(x - e).  Each w contributes its smallest-index
+    edge into V(x - e).
     """
-    vm, inner = _vertex_degree_masks(g, x.mask)
-    if not x.mask >> e & 1 or not g.edge_vmask[e] & ~inner:
-        raise NotPendantError(f"edge {e} is not a pendant edge of the solution")
-    a, b = g.edges[e]  # a < b; a lone edge reports its smaller endpoint
-    v = b if inner >> a & 1 else a
-    for _, h in g.adjacency[v]:
-        hu, hv = g.edges[h]
-        if g.degrees[hu] == 1 or g.degrees[hv] == 1:
-            return None
-    ws = _w_mask(g, x.mask, e)
-    if not ws:
-        # empty W would mean x - e is already a CEDS, contradicting the
-        # minimality of x; reaching this line is a bug
-        raise RuntimeError(f"empty W-set for pendant edge {e} of {x!r}")
-    rest = x.mask ^ (1 << e)
-    rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
+    ws = g.neighbor_vmask[v] & ~view.vm
+    if any(g.degrees[w] == 1 for w in _bits(ws)):
+        return None
+    rest_verts = view.vm ^ (1 << v)  # V(x - e): V(x) without the leaf
     fmask = 0
     for w in _bits(ws):
-        f = next((h for z, h in g.adjacency[w] if rest_verts >> z & 1), None)
-        if f is None:
-            raise RuntimeError(f"no edge reconnects W-vertex {w} for pendant edge {e}")
-        fmask |= 1 << f
-    assert fmask.bit_count() == ws.bit_count()
+        fmask |= 1 << next(h for z, h in g.adjacency[w] if rest_verts >> z & 1)
     out: list[tuple[Solution, TypeIII]] = []
-    _consider(g, rest | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
+    _consider(g, view.mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
     return out[0]
+
+
+def _moves(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, Provenance]]:
+    """Every move from x, a solution of two or more edges, repeats and x
+    itself included: Type I, then II, then III, each internally
+    deterministic, all reading one :class:`_View` of x and sharing
+    ``cache``."""
+    view = _view(g, x)
+    out: list[tuple[Solution, Provenance]] = []
+    out += type1_neighbors(g, view, cache)
+    out += type2_neighbors(g, view, cache)
+    for e, v in view.pendants:
+        hit = type3_neighbor(g, view, e, v, cache)
+        if hit is not None:
+            out.append(hit)
+    return out
 
 
 def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
@@ -337,17 +340,9 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
         # a single-edge solution only occurs in graphs handled by the
         # trivial-instance path, which never consults the supergraph
         return NeighborBatch([])
-    cache: dict = {}
-    raw: list[tuple[Solution, Provenance]] = []
-    raw.extend(type1_neighbors(g, x, cache))
-    raw.extend(type2_neighbors(g, x, cache))
-    for e, _ in _pendant_items(g, x.mask):
-        hit = type3_neighbor(g, x, e, cache)
-        if hit is not None:
-            raw.append(hit)
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
-    for sol, prov in raw:
+    for sol, prov in _moves(g, x, {}):
         if sol.mask not in seen:
             seen.add(sol.mask)
             items.append((sol, prov))

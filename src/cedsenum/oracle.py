@@ -23,8 +23,8 @@ from .ceds import (
     solution_line,
 )
 from .enumeration import enumerate_all, enumerate_kbest, initial_solution
-from .graph import Graph, _bits, _pendant_items, _spanning_tree_mask, _vertices_mask, is_tree
-from .neighbors import all_neighbors, type1_neighbors, type2_neighbors, type3_neighbor
+from .graph import Graph, _bits, _spanning_tree_mask, is_tree
+from .neighbors import _moves, all_neighbors
 
 ORACLE_EDGE_CAP = 40
 
@@ -314,7 +314,7 @@ def _trivial_fast_path(run: _GraphRun):
     stars = set()
     for e, (a, b) in enumerate(g.edges):
         if _is_ceds_mask(g, 1 << e):
-            common = _vertices_mask(g, inc[a]) & _vertices_mask(g, inc[b]) & ~g.edge_vmask[e]
+            common = g.neighbor_vmask[a] & g.neighbor_vmask[b]
             spokes = 0
             for w in _bits(common):
                 spokes |= inc[w]
@@ -347,20 +347,17 @@ def _move_candidates(run: _GraphRun):
     """Every distinct candidate of every move is a CEDS, the proofs in the
     docstring of ``neighbors._consider`` made executable: the moves
     minimalize their candidates without testing them.  Runs the three move
-    types with one shared cache on each sampled node and tests every cached
-    candidate.  The cache holds a candidate with a cycle as the tree the
-    moves break it to, and a CEDS tree inside a candidate makes the
-    candidate a CEDS, so testing the tree covers both."""
+    types (``neighbors._moves``) on each sampled node and tests every
+    candidate in their shared cache.  The cache holds a candidate with a
+    cycle as the tree the moves break it to, and a CEDS tree inside a
+    candidate makes the candidate a CEDS, so testing the tree covers both."""
     g, nodes = run.g, run.solutions
     if len(nodes) > CANDIDATE_SAMPLE:
         nodes = [nodes[i * len(nodes) // CANDIDATE_SAMPLE] for i in range(CANDIDATE_SAMPLE)]
     count = 0
     for x in nodes:
         cache: dict = {}
-        type1_neighbors(g, x, cache)
-        type2_neighbors(g, x, cache)
-        for e, _ in _pendant_items(g, x.mask):
-            type3_neighbor(g, x, e, cache)
+        _moves(g, x, cache)
         for cand in cache:
             if not _is_ceds_mask(g, cand):
                 raise _Counterexample(

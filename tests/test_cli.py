@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
+    Graph,
     Solution,
+    brute_force_minimal_ceds,
     enumerate_all,
     is_minimal_ceds,
     oracle,
@@ -26,6 +29,13 @@ from cedsenum import (
 )
 from cedsenum import approx, cli, enumeration, neighbors
 from cedsenum.cli import main
+from cedsenum.graph import _bits
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 
 
 @pytest.fixture
@@ -529,7 +539,7 @@ def _add_arcs(targets):
          "neighbor '2-3 3-4 0-4' of '0-1 1-2 2-3' is not a minimal CEDS tree"),
         ("build_supergraph", _add_arcs(lambda g, s: tuple(s.nodes) * 80), "out-degree-bound",
          "out-degree 404 exceeds 8*n*m*delta = 400"),
-        ("type2_neighbors",  # also caches the lone edge 0-1, which dominates too little
+        ("_moves",  # also caches the lone edge 0-1, which dominates too little
          lambda real: lambda g, x, cache: cache.setdefault(1, None) or real(g, x, cache),
          "move-candidates", "move candidate '0-1' of '0-1 1-2 2-3' is not a CEDS"),
     ],
@@ -678,3 +688,50 @@ def test_every_command_survives_arbitrary_input(tmp_path, data):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([*command, "--format", fmt, str(path)])
             assert code in {0, 1, 2, 3, 4}, (command, fmt, data)
+
+
+# ---------------------------------------------------------------------------
+# enumerate against the oracle, in the input's labels
+
+
+@st.composite
+def _labelled_graphs(draw):
+    """The ``(u, v)`` label pairs of a connected graph on at most 8
+    vertices: a random spanning tree plus up to n - 1 more edges, about the
+    density of the test corpus, in a drawn order and orientation, over
+    distinct non-negative labels."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    labels = draw(st.lists(st.integers(min_value=0), min_size=n, max_size=n, unique=True))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    others = sorted(set(itertools.combinations(range(n), 2)) - edges)
+    if others:
+        edges |= draw(st.sets(st.sampled_from(others), max_size=n - 1))
+    order = draw(st.permutations(sorted(edges)))
+    flips = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return [
+        (labels[b], labels[a]) if flip else (labels[a], labels[b])
+        for (a, b), flip in zip(order, flips)
+    ]
+
+
+@given(_labelled_graphs())
+@PROPERTY_SETTINGS
+def test_enumerate_prints_the_oracle_set_in_the_input_labels(tmp_path, pairs):
+    """``cedsenum enumerate`` prints every minimal CEDS of the oracle once,
+    each edge as the two labels of an input line."""
+    path = tmp_path / "drawn.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in pairs))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", str(path), "--output", "solutions"]) == 0
+    got = [
+        frozenset(frozenset(map(int, pair.split("-"))) for pair in line.split())
+        for line in out.getvalue().splitlines()
+    ]
+    assert len(got) == len(set(got))
+    g = Graph.from_edge_list(pairs)  # edge e is the input line pairs[e]
+    oracle_sets = {
+        frozenset(frozenset(pairs[e]) for e in _bits(sol.mask))
+        for sol in brute_force_minimal_ceds(g)
+    }
+    assert set(got) == oracle_sets

@@ -14,8 +14,8 @@ from cedsenum import (
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
-from cedsenum.ceds import _is_ceds_mask, minimalize
-from cedsenum.corpus import random_connected_graph
+from cedsenum.ceds import _is_ceds_mask, _private_mask, minimalize
+from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.graph import (
     _bits,
     _component_mask,
@@ -27,12 +27,12 @@ from cedsenum.graph import (
     is_tree,
 )
 from cedsenum.neighbors import (
-    NotPendantError,
     TypeI,
     TypeII,
     TypeIII,
     _consider,
-    _w_mask,
+    _moves,
+    _view,
     all_neighbors,
     type1_neighbors,
     type2_neighbors,
@@ -58,24 +58,6 @@ def c5_solution(c5):
 
 
 # ---------------------------------------------------------------------------
-# W-sets
-
-
-def test_w_set_frozen_values(c5, p5, c5_solution):
-    assert _w_mask(c5, c5_solution.mask, 0) == 1 << 4
-    assert _w_mask(c5, c5_solution.mask, 2) == 1 << 4
-    assert _w_mask(p5, _solution(p5, 0b0110).mask, 1) == 0
-
-
-def test_w_set_requires_a_pendant_edge(c5, c5_solution):
-    # the W-set, and with it the Type III move, exists only for pendant
-    # edges of the solution: edge 1 is internal and edge 3 is outside it
-    for e in (1, 3):
-        with pytest.raises(NotPendantError):
-            type3_neighbor(c5, c5_solution, e, {})
-
-
-# ---------------------------------------------------------------------------
 # Individual move families on the five-cycle
 
 
@@ -85,7 +67,7 @@ def _type1_candidate(x, prov):
 
 
 def test_type1_moves(c5, c5_solution):
-    results = type1_neighbors(c5, c5_solution, {})
+    results = type1_neighbors(c5, _view(c5, c5_solution), {})
     keys = {sol.canonical_key for sol, _ in results}
     assert keys == {(0, 1, 2), (2, 3, 4)}  # self-restatements plus one shift
     traces = [prov.trace() for sol, prov in results if sol != c5_solution]
@@ -98,7 +80,7 @@ def test_type1_moves(c5, c5_solution):
 
 
 def test_type2_moves(c5, c5_solution):
-    results = type2_neighbors(c5, c5_solution, {})
+    results = type2_neighbors(c5, _view(c5, c5_solution), {})
     arrivals = {
         (sol.canonical_key, prov.trace())
         for sol, prov in results
@@ -113,13 +95,13 @@ def test_type2_moves(c5, c5_solution):
 
 def test_type2_moves_on_a_path_only_restate_the_solution(p5):
     x = _solution(p5, 0b0110)
-    results = type2_neighbors(p5, x, {})
+    results = type2_neighbors(p5, _view(p5, x), {})
     assert results
     assert {sol.canonical_key for sol, _ in results} == {(1, 2)}
 
 
 def test_type3_move(c5, p5, c5_solution):
-    got = type3_neighbor(c5, c5_solution, 0, {})
+    got = type3_neighbor(c5, _view(c5, c5_solution), 0, 0, {})
     assert got is not None
     sol, prov = got
     assert isinstance(prov, TypeIII)
@@ -127,8 +109,55 @@ def test_type3_move(c5, p5, c5_solution):
     assert prov.e == 0
     assert prov.bundle == (3,)
     assert prov.trace() == "TYPE3 e=0 F=3"
-    # empty W-set on the path: no third-type move exists
-    assert type3_neighbor(p5, _solution(p5, 0b0110), 1, {}) is None
+    # the leaf 1 of the path touches the pendant edge 0-1: no third-type move
+    assert type3_neighbor(p5, _view(p5, _solution(p5, 0b0110)), 1, 1, {}) is None
+
+
+def _w_set_by_private_edges(g, mask, e, v):
+    """(skipped, W) for pendant edge e with leaf v of the minimal CEDS
+    ``mask``, from the definitions: the move is skipped when v touches a
+    pendant edge of G, and W is the vertices off e that a private edge of
+    e, not itself pendant in G, reaches."""
+    pendant_in_g = [g.degrees[a] == 1 or g.degrees[b] == 1 for a, b in g.edges]
+    skipped = any(pendant_in_g[h] for _, h in g.adjacency[v])
+    ws = 0
+    for h in _bits(_private_mask(g, mask, e)):
+        if not pendant_in_g[h]:
+            ws |= g.edge_vmask[h]
+    return skipped, ws & ~g.edge_vmask[e]
+
+
+def _w_set_of_move(g, view, e, v):
+    """(skipped, W) as :func:`type3_neighbor` gives them: W is the endpoints
+    of its bundle outside V(x), one per bundle edge."""
+    hit = type3_neighbor(g, view, e, v, {})
+    if hit is None:
+        return True, None
+    bundle = hit[1].bundle
+    ws = _vertices_mask(g, sum(1 << f for f in bundle)) & ~view.vm
+    assert ws.bit_count() == len(bundle)
+    return False, ws
+
+
+def test_type3_w_set_is_the_private_edges_closed_form(c5, p5, c5_solution):
+    """Type III reads W as N(v) - V(x) and skips on a degree-1 vertex of
+    W; the private edges of e give the same decision and, where the move
+    is defined, the same W, on every pendant edge of every supergraph node
+    of the corpus."""
+    assert _w_set_by_private_edges(c5, c5_solution.mask, 0, 0) == (False, 1 << 4)
+    assert _w_set_by_private_edges(c5, c5_solution.mask, 2, 3) == (False, 1 << 4)
+    assert _w_set_by_private_edges(p5, 0b0110, 1, 1) == (True, 0)
+    decisions = {False: 0, True: 0}
+    for g in [*tiny_corpus(), *random_corpus(60)]:
+        if min_ceds_is_singleton(g) is not None:
+            continue
+        for x in brute_force_minimal_ceds(g):
+            view = _view(g, x)
+            for e, v in view.pendants:
+                skipped, ws = _w_set_by_private_edges(g, x.mask, e, v)
+                assert _w_set_of_move(g, view, e, v) == (skipped, None if skipped else ws)
+                decisions[skipped] += 1
+    assert decisions == {False: 69_486, True: 1_489}
 
 
 def _type1_by_full_scan(g, x):
@@ -170,7 +199,7 @@ def test_type1_matches_the_full_edge_scan(n, seed):
         first: dict = {}
         for sol, prov in _type1_by_full_scan(g, x):
             first.setdefault(_spanning_tree_mask(g, _type1_candidate(x, prov)), (sol, prov))
-        assert type1_neighbors(g, x, {}) == list(first.values())
+        assert type1_neighbors(g, _view(g, x), {}) == list(first.values())
 
 
 def _all_neighbors_building_every_pair(g, x):
@@ -212,8 +241,9 @@ def _all_neighbors_building_every_pair(g, x):
             for z, h2 in g.adjacency[w]:
                 if h2 != h1 and z != v and rest_verts >> z & 1:
                     _consider(g, rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)), raw, cache)
-    for e, _ in pendants:
-        hit = type3_neighbor(g, x, e, cache)
+    view = _view(g, x)
+    for e, v in pendants:
+        hit = type3_neighbor(g, view, e, v, cache)
         if hit is not None:
             raw.append(hit)
     seen = {x.mask}
@@ -243,10 +273,7 @@ def test_all_neighbors_matches_building_every_pair(n, seed):
             (sol.mask, prov.trace()) for sol, prov in items
         ]
         cache: dict = {}
-        type1_neighbors(g, x, cache)
-        type2_neighbors(g, x, cache)
-        for e, _ in _pendant_items(g, x.mask):
-            type3_neighbor(g, x, e, cache)
+        _moves(g, x, cache)
         assert cache.keys() == {_spanning_tree_mask(g, cand) for cand in ref_cache}
 
 
@@ -254,7 +281,7 @@ def _trees_by_move(move, g, x):
     """The tree each move of ``move`` from x passed to ``_consider``: with a
     fresh cache, each call adds one key, in the order of the batch."""
     cache: dict = {}
-    out = move(g, x, cache)
+    out = move(g, _view(g, x), cache)
     assert len(out) == len(cache)
     return {prov: tree for (_, prov), tree in zip(out, cache)}
 
