@@ -63,18 +63,6 @@ def _is_ceds_mask(g: Graph, mask: int) -> bool:
     return mask != 0 and g._dominates_all(mask) and _is_connected_mask(g, mask)
 
 
-def _private_mask(g: Graph, mask: int, f: int) -> int:
-    """Edges outside ``mask`` whose only dominator in ``mask`` is ``f``."""
-    out = 0
-    u, v = g.edges[f]
-    # a private edge must share an endpoint with f, so scanning the
-    # neighborhood of f's endpoints sees every candidate
-    for h in _bits((g.incident_mask[u] | g.incident_mask[v]) & ~mask):
-        if g.dominator_mask[h] & mask == 1 << f:
-            out |= 1 << h
-    return out
-
-
 def is_minimal_ceds(g: Graph, mask: int) -> bool:
     """True iff the edge mask is a CEDS and no proper subset of it is one.
 

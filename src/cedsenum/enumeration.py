@@ -18,7 +18,9 @@ from fractions import Fraction
 from time import perf_counter
 
 from .approx import approx_min_ceds
-from .ceds import Solution, enumerate_trivial, min_ceds_is_singleton, minimalize
+from .ceds import (
+    Solution, enumerate_trivial, is_minimal_ceds, min_ceds_is_singleton, minimalize,
+)
 from .graph import Graph
 from .neighbors import NeighborBatch, Provenance, all_neighbors
 
@@ -113,6 +115,9 @@ def _run(
         stats.seed_ratio_bound = seed.observed_ratio_bound
     else:
         start = initial_solution(g)
+    # every mask enters visited asserted minimal: the start here, and each
+    # batch item in all_neighbors, which skips only the masks in visited
+    assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
     heap: list[Solution] = []
     queue: deque[Solution] = deque()
@@ -130,7 +135,7 @@ def _run(
         if neighbor_cache is not None:
             batch = neighbor_cache.get(sol.mask)
         if batch is None:
-            batch = all_neighbors(g, sol)
+            batch = all_neighbors(g, sol, visited)
             if neighbor_cache is not None:
                 neighbor_cache[sol.mask] = batch
         for nb, prov in batch.items:

@@ -8,6 +8,7 @@ connected, which is what lets a plain traversal reach every solution.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .ceds import Solution, _minimalize_mask, is_minimal_ceds
@@ -125,9 +126,11 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
       W = N(v) - V(x), and each w gets an edge into V(x - e), which
       dominates (v, w) and joins the set (:func:`type3_neighbor`).
 
-    A candidate that broke these proofs would not pass silently: the
-    self-check in :func:`all_neighbors` fails on any result that is not a
-    minimal CEDS.
+    A candidate that broke these proofs would not pass silently.  A result
+    that is not a minimal CEDS is in no traversal's visited set, whose
+    masks were all asserted minimal, so the self-check in
+    :func:`all_neighbors` tests it and fails, as it does on every item of a
+    direct call.
     """
     if cand not in cache:
         cache[cand] = Solution(_minimalize_mask(g, cand))
@@ -330,11 +333,18 @@ def _moves(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, Provenanc
     return out
 
 
-def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
+def all_neighbors(g: Graph, x: Solution, certified: Container[int] = frozenset()) -> NeighborBatch:
     """All moves from x, deduplicated by mask, origin removed.
 
     Order is generation order: Type I, then II, then III, each internally
     deterministic, keeping the first provenance for a repeated solution.
+
+    Every item is asserted to be a minimal CEDS, except those whose mask is
+    in ``certified``: masks the caller has already asserted minimal.  The
+    skip is exact, since :func:`is_minimal_ceds` is a pure function of
+    ``(g, mask)`` and a second call cannot answer otherwise.  A traversal
+    passes its visited set, whose every mask was asserted once on its way
+    in; a direct call checks every item.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
@@ -346,5 +356,5 @@ def all_neighbors(g: Graph, x: Solution) -> NeighborBatch:
         if sol.mask not in seen:
             seen.add(sol.mask)
             items.append((sol, prov))
-    assert all(is_minimal_ceds(g, sol.mask) for sol, _ in items)
+    assert all(sol.mask in certified or is_minimal_ceds(g, sol.mask) for sol, _ in items)
     return NeighborBatch(items)

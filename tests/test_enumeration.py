@@ -14,9 +14,11 @@ from cedsenum import (
     brute_force_minimal_ceds,
     enumerate_all,
     enumerate_kbest,
+    is_minimal_ceds,
     min_ceds_is_singleton,
     solution_line,
 )
+from cedsenum import enumeration, neighbors
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.enumeration import initial_solution
 
@@ -134,6 +136,49 @@ def test_neighbor_cache_reuse(c5):
     second, _ = _collect_all(c5, neighbor_cache=cache)
     assert second == first
     assert cache.keys() == filled.keys()
+
+
+# Each fault below breaks a solution the traversal reaches; certifying each
+# mask once, on its way into the visited set, must still catch it.
+_RUNS = {
+    "all": (lambda g: enumerate_all(g, lambda sol: None), initial_solution),
+    "kbest": (
+        lambda g: enumerate_kbest(g, 3, lambda sol: None),
+        lambda g: approx_min_ceds(g).solution,
+    ),
+    "cached": (lambda g: enumerate_all(g, lambda sol: None, neighbor_cache={}), initial_solution),
+}
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_an_unminimalized_candidate_fails_the_self_check(c5, monkeypatch, name):
+    """A minimal tree minimalizes to itself, so leaving every candidate
+    as it was built changes only the ones that are not minimal.  Such a
+    mask is in no visited set, whose masks were all asserted minimal, so
+    ``all_neighbors`` tests it."""
+    run, _ = _RUNS[name]
+    monkeypatch.setattr(neighbors, "_minimalize_mask", lambda g, cand: cand)
+    with pytest.raises(AssertionError) as exc:
+        run(c5)
+    assert exc.traceback[-1].name == "all_neighbors"
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_a_start_that_fails_the_self_check_is_caught(c5, monkeypatch, name):
+    """The start is in the visited set before the first batch, so
+    ``all_neighbors`` skips it whenever it comes back; the traversal
+    asserts it on its own."""
+    run, start_of = _RUNS[name]
+    start = start_of(c5).mask
+
+    def rejects_the_start(g, mask):
+        return mask != start and is_minimal_ceds(g, mask)
+
+    for module in (enumeration, neighbors):
+        monkeypatch.setattr(module, "is_minimal_ceds", rejects_the_start)
+    with pytest.raises(AssertionError) as exc:
+        run(c5)
+    assert exc.traceback[-1].name == "_run"
 
 
 def test_on_insert_reports_discoveries(c5):

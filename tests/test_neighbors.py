@@ -14,7 +14,8 @@ from cedsenum import (
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
-from cedsenum.ceds import _is_ceds_mask, _private_mask, minimalize
+from cedsenum import neighbors
+from cedsenum.ceds import _is_ceds_mask, minimalize
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.graph import (
     _bits,
@@ -38,6 +39,7 @@ from cedsenum.neighbors import (
     type2_neighbors,
     type3_neighbor,
 )
+from reference import private_mask
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -121,7 +123,7 @@ def _w_set_by_private_edges(g, mask, e, v):
     pendant_in_g = [g.degrees[a] == 1 or g.degrees[b] == 1 for a, b in g.edges]
     skipped = any(pendant_in_g[h] for _, h in g.adjacency[v])
     ws = 0
-    for h in _bits(_private_mask(g, mask, e)):
+    for h in _bits(private_mask(g, mask, e)):
         if not pendant_in_g[h]:
             ws |= g.edge_vmask[h]
     return skipped, ws & ~g.edge_vmask[e]
@@ -368,6 +370,22 @@ def test_all_neighbors_excludes_origin_and_duplicates(c5, c5_solution):
 def test_all_neighbors_is_empty_for_lone_solutions_and_singletons(p5, star3):
     assert all_neighbors(p5, _solution(p5, 0b0110)).items == []
     assert all_neighbors(star3, _solution(star3, 0b001)).items == []
+
+
+def test_a_direct_call_self_checks_every_item_not_certified(c5, c5_solution, monkeypatch):
+    """Without ``certified``, a batch member that fails the check fails the
+    call; passing its mask as certified skips it, and that is the contract:
+    the caller vouches for the masks it passes."""
+    items = all_neighbors(c5, c5_solution).items
+    bad = items[-1][0].mask
+
+    def rejects_bad(g, mask):
+        return mask != bad and is_minimal_ceds(g, mask)
+
+    monkeypatch.setattr(neighbors, "is_minimal_ceds", rejects_bad)
+    with pytest.raises(AssertionError):
+        all_neighbors(c5, c5_solution)
+    assert all_neighbors(c5, c5_solution, {bad}).items == items
 
 
 @given(st.integers(min_value=0, max_value=10_000))

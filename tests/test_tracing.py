@@ -68,13 +68,19 @@ def test_tracer_counts_the_hot_path(c5):
 def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     """The k=20 run of the golden digest test.  A faster candidate path
     must still build the same distinct candidates, minimalize as often and
-    self-check every batch item.  Each candidate is built once per
-    expansion, as the tree the DFS would keep of it, so the cache is never
-    hit, no DFS runs on the candidate path, and the moves build CEDS by
-    construction, so no candidate is CEDS-tested.  Type I builds 147
-    distinct trees from its 155 distinct candidate masks."""
+    self-check every solution the run inserts into its visited set, once.
+    Each candidate is built once per expansion, as the tree the DFS would
+    keep of it, so the cache is never hit, no DFS runs on the candidate
+    path, and the moves build CEDS by construction, so no candidate is
+    CEDS-tested.  Type I builds 147 distinct trees from its 155 distinct
+    candidate masks.  The start is asserted in the traversal itself, outside
+    the ``ceds.self_check`` span, so the span counts the 94 inserted masks
+    of the 230 batch items."""
     g = random_connected_graph(14, 0.18, 8)
-    tracer = _traced(lambda: cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
+    stats = []
+    tracer = _traced(
+        lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
+    )
     counts = {
         "neighbors.candidates.type1": 147,
         "neighbors.candidates.type2": 104,
@@ -84,6 +90,6 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     }
     assert {name: tracer.counts[name] for name in counts} == counts
     assert tracer.calls["ceds.minimalize"] == 321
-    assert tracer.calls["ceds.self_check"] == 230
+    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 94
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
