@@ -7,7 +7,6 @@ no proper subset is again a CEDS; every minimal CEDS induces a tree.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .graph import (
@@ -112,14 +111,15 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
     The pendant edges of the tree T are then tried smallest first.  The
     edge at leaf ``ell`` stays iff ``ell`` has a neighbour outside V(T), the
     exact private-edge test of :func:`is_minimal_ceds`; otherwise it is
-    removed, ``ell`` leaves V(T), and the other endpoint is queued if it is
-    now a leaf.  V(T) comes from the same walk as the tree test, since a
-    spanning tree keeps every vertex.  A private edge survives later
-    removals, since V(T) only shrinks, so one OR (:func:`_outside_reach`)
-    settles every leaf that has one before the loop starts, and only the
-    others are queued; when there are none, T is minimal as it stands.
-    The test is made again at each pop, because a removal can give another
-    leaf a private edge.
+    removed and ``ell`` leaves V(T).  V(T) only shrinks, so a private edge
+    survives later removals, and one OR (:func:`_outside_reach`) settles
+    every leaf that has one before the loop starts.  A removal never makes
+    a new leaf removable: the vertex it exposes keeps the edge back to
+    ``ell``, which now lies outside V(T) for good, as a private edge.  So
+    only the input tree's unsettled leaves can go, and one pass over their
+    pendant edges in ascending order suffices.  Each is tested again when
+    its turn comes, since an earlier removal can give it a private edge,
+    and a lone edge is never removed.
     """
     inc, nbr = g.incident_mask, g.neighbor_vmask
     vm, inner = _vertex_degree_masks(g, mask)
@@ -131,40 +131,31 @@ def _minimalize_mask(g: Graph, mask: int) -> int:
     leaves = vm & ~inner & ~_outside_reach(g, vm)
     if not leaves:
         return tree
-    # the pendant edge at each unsettled leaf; a single edge may be listed
+    # (pendant edge, leaf) of each unsettled leaf; a lone edge is listed
     # twice, and the loop stops at once
-    heap = []
+    pendants = []
     while leaves:
         low = leaves & -leaves
-        heap.append((inc[low.bit_length() - 1] & tree).bit_length() - 1)
+        ell = low.bit_length() - 1
+        pendants.append(((inc[ell] & tree).bit_length() - 1, ell))
         leaves ^= low
-    heap.sort()  # a sorted list is a heap
-    queued = set(heap)
-    while heap:
-        e = heapq.heappop(heap)
+    pendants.sort()
+    for e, ell in pendants:
         if tree == 1 << e:
             break  # a single edge is always minimal; never remove it
-        u, v = g.edges[e]
-        ell, other = (u, v) if inc[u] & tree == 1 << e else (v, u)
-        if nbr[ell] & ~vm:
-            continue  # private edges survive later removals, so e is settled
-        tree ^= 1 << e
-        vm ^= 1 << ell
-        rest = inc[other] & tree
-        if rest.bit_count() == 1:
-            f = rest.bit_length() - 1
-            if f not in queued:
-                queued.add(f)
-                heapq.heappush(heap, f)
+        if not nbr[ell] & ~vm:
+            tree ^= 1 << e
+            vm ^= 1 << ell
     return tree
 
 
 def minimalize(g: Graph, mask: int) -> Solution:
     """Extract a minimal CEDS contained in the CEDS ``mask`` (deterministically).
 
-    Takes the canonical spanning tree of G[mask], then repeatedly removes the
-    smallest-index pendant edge that has no private edge, re-enqueueing edges
-    that become pendant.  Raises :class:`NotCedsError` if the mask is not a CEDS.
+    Takes the canonical spanning tree of G[mask], then removes, in ascending
+    edge order, each pendant edge of that tree whose leaf has no private
+    edge (see :func:`_minimalize_mask`).  Raises :class:`NotCedsError` if
+    the mask is not a CEDS.
     """
     _check_mask(g, mask)
     if not _is_ceds_mask(g, mask):

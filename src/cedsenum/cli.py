@@ -126,7 +126,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_kbest(args: argparse.Namespace) -> int:
     if args.k is None or args.k < 1:
-        _err(f"kbest requires -k >= 1, got {args.k}")
+        _err("kbest requires -k N with N >= 1" if args.k is None
+             else f"kbest requires -k >= 1, got {args.k}")
         return 1
     g = _load_graph(args)
     if g is None:

@@ -287,17 +287,6 @@ def _outside_reach(g: Graph, vm: int) -> int:
     return reach
 
 
-def _dominated_mask(g: Graph, mask: int) -> int:
-    """Edges that share an endpoint with an edge of ``mask``, ``mask`` included."""
-    dom = g.dominator_mask
-    covered = 0
-    while mask:
-        low = mask & -mask
-        covered |= dom[low.bit_length() - 1]
-        mask ^= low
-    return covered
-
-
 def _component_mask(g: Graph, mask: int, e: int) -> int:
     """Edge mask of the component of G[mask] that holds edge ``e``.
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Container
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ceds import Solution, _minimalize_mask, is_minimal_ceds
 from .graph import (
     Graph,
     _bits,
     _component_mask,
-    _dominated_mask,
     _pendant_items,
     _vertex_degree_masks,
     _vertices_mask,
@@ -27,9 +27,13 @@ from .graph import (
 from .ceds import _is_ceds_mask  # noqa: F401
 
 
-@dataclass(frozen=True)
-class TypeI:
-    """Removed internal edge ``e``; added ``f`` and ``g`` (equal when f bridges)."""
+class TypeI(NamedTuple):
+    """Removed internal edge ``e``; added ``f`` and ``g`` (equal when f bridges).
+
+    The provenance records are named tuples, cheap to build once per
+    candidate, so they compare and hash as plain tuples: a TypeII and a
+    TypeIII with equal fields are equal.  Compare records of one kind, or
+    their traces."""
 
     e: int
     f: int
@@ -39,9 +43,9 @@ class TypeI:
         return f"TYPE1 e={self.e} f={self.f} g={self.g}"
 
 
-@dataclass(frozen=True)
-class TypeII:
-    """Removed pendant edge ``e``; added a path of one or two edges."""
+class TypeII(NamedTuple):
+    """Removed pendant edge ``e``; added a path of one or two edges.  A
+    named tuple, which compares as a plain tuple (see :class:`TypeI`)."""
 
     e: int
     path: tuple[int, ...]
@@ -50,9 +54,9 @@ class TypeII:
         return f"TYPE2 e={self.e} path={','.join(map(str, self.path))}"
 
 
-@dataclass(frozen=True)
-class TypeIII:
-    """Removed pendant edge ``e``; added one reconnecting edge per W-vertex."""
+class TypeIII(NamedTuple):
+    """Removed pendant edge ``e``; added one reconnecting edge per W-vertex.
+    A named tuple, which compares as a plain tuple (see :class:`TypeI`)."""
 
     e: int
     bundle: tuple[int, ...]
@@ -73,23 +77,47 @@ class NeighborBatch:
 class _View:
     """The expanded solution x, walked once for all three moves: its mask,
     V(x) and its inner vertices (degree two or more in x), its pendant
-    items (edge, leaf) in ascending edge order, and x rooted at
-    r = min V(x) (:func:`_rooted`)."""
+    items (edge, leaf) in ascending edge order, the edges with an endpoint
+    in V(x) (``touch``) and with both there (``within``), and x rooted at
+    r = min V(x) (:func:`_rooted`).
+
+    The moves read the edges that rejoin a vertex to x off these masks: the
+    set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
+    the same edges in the same order as a scan of the adjacency list."""
 
     mask: int
     vm: int
     inner: int
     pendants: list[tuple[int, int]]
+    touch: int
+    within: int
     r: int
     anc: list[int]
     chain: list[tuple[int, ...]]
+
+
+def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
+    """(edges with an endpoint in the vertex mask ``vm``, edges with both
+    there), in one pass over ``vm``: an edge is in the second once its
+    higher endpoint finds it among the edges of the lower ones."""
+    touch = within = 0
+    while vm:
+        low = vm & -vm
+        edges = inc[low.bit_length() - 1]
+        within |= edges & touch
+        touch |= edges
+        vm ^= low
+    return touch, within
 
 
 def _view(g: Graph, x: Solution) -> _View:
     mask = x.mask
     vm, inner = _vertex_degree_masks(g, mask)
     r = (vm & -vm).bit_length() - 1
-    return _View(mask, vm, inner, _pendant_items(g, mask), r, *_rooted(g, mask, r))
+    return _View(
+        mask, vm, inner, _pendant_items(g, mask), *_touch_within(g.incident_mask, vm),
+        r, *_rooted(g, mask, r),
+    )
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
@@ -193,60 +221,72 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     g = f).  Each candidate is built once, as a tree: a tree already in
     ``cache`` is skipped (see :func:`_consider`).
 
-    Side 1 skips every f whose outside endpoint v lies outside V(x): its
-    pairs were all built on side 0 with the roles swapped.  Such an f
-    joins u in V(C_1) to v, g joins v to some w in V(C_0), and g != f
-    since v is not in V(C_0).  On side 0, g is an f: it has the endpoint w
-    in V(C_0), and it is not in x, since v lies outside V(x).  Its outside
-    endpoint is v, and f is one of the edges from v into V(C_1), so side 0
-    built the pair {g, f}, the same mask.
+    Everything is read off edge masks (see :class:`_View`), with
+    (touch_i, within_i) the edges with an endpoint in V(C_i) and with both
+    there.  The f of side i are ``touch_i & ~within_i``.  When v lies
+    outside V(x), the g are ``inc[v] & touch_j``.  When f bridges, v lies
+    in V(C_j) and the g are ``inc[v] & within_j``: the tree edges of C_j
+    at v, which with f itself all give the tree x - e + f, and the chords
+    of V(C_j) at v.  That tree is built once, at the lowest of its g, which
+    is where a walk over v's adjacency list first meets it.
 
-    A candidate holds a cycle only when f bridges C_i and C_j (v lies in
-    V(C_j)) and g is a chord of C_j.  The spanning-tree DFS roots it at
-    r = min V(x) and enters the cycle at v when r lies in V(C_i), and
-    otherwise at the lowest common ancestor of v and w in x rooted at r;
-    the candidate becomes the tree it would give (:func:`_dfs_cut`), read
-    off the rooting in ``view``.
+    Side 1 takes only the chords of a bridging f.  Its copy of x - e + f
+    was built on side 0, where f is a bridging f too.  Every f whose
+    outside endpoint v lies outside V(x) was built on side 0 with the
+    roles swapped.  Such an f joins u in V(C_1) to v, g joins v to some w
+    in V(C_0), and g != f since v is not in V(C_0).  On side 0, g is an f:
+    it has the endpoint w in V(C_0), and it is not in x, since v lies
+    outside V(x).  Its outside endpoint is v, and f is one of the edges
+    from v into V(C_1), so side 0 built the pair {g, f}, the same mask.
+
+    A candidate holds a cycle only when f bridges C_i and C_j and g is a
+    chord of C_j.  The spanning-tree DFS roots it at r = min V(x) and
+    enters the cycle at v when r lies in V(C_i), and otherwise at the
+    lowest common ancestor of v and g's other end in x rooted at r; the
+    candidate becomes the tree it would give (:func:`_dfs_cut`), read off
+    the rooting in ``view``.
     """
     out: list[tuple[Solution, TypeI]] = []
-    edge_vmask = g.edge_vmask
+    edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
+
+    def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
+        a, b = edges[h]
+        cand ^= 1 << _dfs_cut(anc, chain, v, a ^ b ^ v, h, at_v)
+        if cand not in cache:
+            _consider(g, cand, TypeI(e, f, h), out, cache)
+
     for e in _bits(mask):
         if edge_vmask[e] & ~inner:
             continue  # pendant edges are handled by Types II and III
         # x is a tree, so an edge between two inner vertices splits it in
         # two components that share no vertex and cover V(x)
         rest = mask ^ (1 << e)
-        c0 = _component_mask(g, rest, (rest & -rest).bit_length() - 1)
-        comps = (c0, rest ^ c0)
-        v0 = _vertices_mask(g, c0)
-        vmasks = (v0, vm & ~v0)
-        for i in (0, 1):
-            vi, vj = vmasks[i], vmasks[1 - i]
-            enters_at_v = vi >> r & 1  # the DFS reaches a cycle through f
-            # every edge with an endpoint in V(C_i) shares it with an edge
-            # of C_i, so only the edges C_i dominates need a look
-            boundary = _dominated_mask(g, comps[i]) & ~comps[i]
-            while boundary:
-                low = boundary & -boundary
-                f = low.bit_length() - 1
-                boundary ^= low
-                fverts = edge_vmask[f]
-                inside = fverts & vi
-                if inside == fverts:
-                    continue  # a chord of V(C_i); need exactly one endpoint there
-                outside = fverts ^ inside
-                if i and not outside & vj:
-                    continue  # v lies outside V(x): side 0 built these pairs
-                v = outside.bit_length() - 1
-                bridges = vj >> v & 1
-                for w, g2 in g.adjacency[v]:
-                    if vj >> w & 1 or (g2 == f and bridges):
-                        cand = rest | (1 << f) | (1 << g2)
-                        if bridges and g2 != f and not rest >> g2 & 1:
-                            cand ^= 1 << _dfs_cut(anc, chain, v, w, g2, enters_at_v)
-                        if cand not in cache:
-                            _consider(g, cand, TypeI(e, f, g2), out, cache)
+        v0 = _vertices_mask(g, _component_mask(g, rest, (rest & -rest).bit_length() - 1))
+        touch0, within0 = _touch_within(inc, v0)
+        touch1, within1 = _touch_within(inc, vm & ~v0)
+        at_v = v0 >> r & 1  # on side 0, the DFS reaches a cycle through f
+        for f in _bits(touch0 & ~within0):
+            v = (edge_vmask[f] & ~v0).bit_length() - 1
+            base = rest | (1 << f)
+            if not touch1 >> f & 1:  # v lies outside V(x)
+                for h in _bits(inc[v] & touch1):
+                    if base | (1 << h) not in cache:
+                        _consider(g, base | (1 << h), TypeI(e, f, h), out, cache)
+                continue
+            hs = inc[v] & within1
+            trees = hs & rest | (1 << f)
+            first = trees & -trees
+            for h in _bits(hs & ~rest | first):
+                if first >> h & 1:
+                    if base not in cache:
+                        _consider(g, base, TypeI(e, f, h), out, cache)
+                else:
+                    chord(e, f, v, h, base | (1 << h), at_v)
+        for f in _bits(touch1 & touch0):
+            v = (edge_vmask[f] & v0).bit_length() - 1
+            for h in _bits(inc[v] & within0 & ~rest):
+                chord(e, f, v, h, rest | (1 << f) | (1 << h), 1 - at_v)
     return out
 
 
@@ -258,34 +298,39 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     reuse e itself, which yields the origin again (dropped later).  Each
     candidate is built once, as in :func:`type1_neighbors`.
 
-    A candidate holds a cycle only when the middle vertex w of a two-edge
-    path lies in V(x - e) and the second edge h2 is not in x: h2 is then a
-    chord.  The spanning-tree DFS roots it at r = min V(x) and enters the
-    cycle at w when r is the leaf v, and otherwise at the lowest common
-    ancestor of w and the path's end in x rooted at r; the candidate
+    The paths are read off edge masks (see :class:`_View`); V(x - e) is
+    V(x) without v.  The one-edge paths are ``inc[v] & within``.  A path
+    v-w-z has first edge h1 at v, and its second edges h2 != h1 are
+    ``inc[w] & touch`` when w lies outside V(x), and ``inc[w] & within``
+    without the edges of x - e when w lies in V(x - e): with such an h2,
+    the path only rebuilds the tree x - e + h1 of a one-edge path, which is
+    already built.
+
+    A candidate holds a cycle exactly when w lies in V(x - e), since h2 is
+    then a chord.  The spanning-tree DFS roots it at r = min V(x) and
+    enters the cycle at w when r is the leaf v, and otherwise at the
+    lowest common ancestor of w and z in x rooted at r; the candidate
     becomes the tree it would give, as in :func:`type1_neighbors`.
     """
     out: list[tuple[Solution, TypeII]] = []
-    mask, vm, r, anc, chain = view.mask, view.vm, view.r, view.anc, view.chain
+    edges, inc = g.edges, g.incident_mask
+    mask, vm, touch, within = view.mask, view.vm, view.touch, view.within
+    r, anc, chain = view.r, view.anc, view.chain
     for e, v in view.pendants:
         rest = mask ^ (1 << e)
-        rest_verts = vm ^ (1 << v) if rest else 0  # V(x - e): V(x) without the leaf
-        for z, h in g.adjacency[v]:
-            if rest_verts >> z & 1:
-                cand = rest | (1 << h)
-                if cand not in cache:
-                    _consider(g, cand, TypeII(e, (h,)), out, cache)
+        for h in _bits(inc[v] & within):
+            if rest | (1 << h) not in cache:
+                _consider(g, rest | (1 << h), TypeII(e, (h,)), out, cache)
+        chords = within & ~rest
         for w, h1 in g.adjacency[v]:
-            rejoins = rest_verts >> w & 1  # h1 alone puts v back
-            for z, h2 in g.adjacency[w]:
-                if h2 == h1 or z == v:
-                    continue
-                if rest_verts >> z & 1:
-                    cand = rest | (1 << h1) | (1 << h2)
-                    if rejoins and not rest >> h2 & 1:
-                        cand ^= 1 << _dfs_cut(anc, chain, w, z, h2, v == r)
-                    if cand not in cache:
-                        _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
+            rejoins = vm >> w & 1  # h1 alone puts v back
+            for h2 in _bits(inc[w] & (chords if rejoins else touch) & ~(1 << h1)):
+                cand = rest | (1 << h1) | (1 << h2)
+                if rejoins:
+                    a, b = edges[h2]
+                    cand ^= 1 << _dfs_cut(anc, chain, w, a ^ b ^ w, h2, v == r)
+                if cand not in cache:
+                    _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
     return out
 
 
@@ -297,21 +342,21 @@ def type3_neighbor(
 
     x is a minimal tree of two or more edges, so the private edges of e are
     exactly the edges (v, w) with w outside V(x) (:func:`is_minimal_ceds`):
-    W = N(v) - V(x), nonempty.  The move is undefined, and None returned,
-    when v touches a pendant edge of G, that is, when some w in W has
-    degree 1 in G: v has its parent and W as neighbors, and every neighbor
-    of v in V(x) has an edge of x besides the one to v.  Every other w has
-    an edge (w, y) with y != v, which x dominates; w lies outside V(x), so
-    y lies in V(x) - v = V(x - e).  Each w contributes its smallest-index
-    edge into V(x - e).
+    W = N(v) - V(x), nonempty.  Each w contributes its smallest-index edge
+    into V(x - e) = V(x) - v, the lowest bit of ``inc[w] & touch`` without
+    the edge to v (see :class:`_View`).  The move is undefined, and None
+    returned, when some w has no such edge.  That is exactly when w has
+    degree 1 in G: every other edge (w, y) has y != v, x dominates it, and
+    w lies outside V(x), so y lies in V(x) - v.
     """
-    ws = g.neighbor_vmask[v] & ~view.vm
-    if any(g.degrees[w] == 1 for w in _bits(ws)):
-        return None
-    rest_verts = view.vm ^ (1 << v)  # V(x - e): V(x) without the leaf
+    inc = g.incident_mask
+    reach = view.touch & ~inc[v]
     fmask = 0
-    for w in _bits(ws):
-        fmask |= 1 << next(h for z, h in g.adjacency[w] if rest_verts >> z & 1)
+    for w in _bits(g.neighbor_vmask[v] & ~view.vm):
+        hs = inc[w] & reach
+        if not hs:
+            return None
+        fmask |= hs & -hs
     out: list[tuple[Solution, TypeIII]] = []
     _consider(g, view.mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
     return out[0]

@@ -16,3 +16,11 @@ def private_mask(g: Graph, mask: int, f: int) -> int:
         if g.dominator_mask[h] & mask == 1 << f:
             out |= 1 << h
     return out
+
+
+def dominated_mask(g: Graph, mask: int) -> int:
+    """Edges that share an endpoint with an edge of ``mask``, ``mask`` included."""
+    covered = 0
+    for e in _bits(mask):
+        covered |= g.dominator_mask[e]
+    return covered

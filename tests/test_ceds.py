@@ -25,6 +25,7 @@ from cedsenum.ceds import _is_ceds_mask, _minimalize_mask, minimalize
 from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import (
     Graph,
+    _bits,
     _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
@@ -252,28 +253,58 @@ def _hub_graph(n, rng):
     return Graph.from_edge_list(edges)
 
 
-@given(
-    st.integers(min_value=2, max_value=24),
-    st.sampled_from((0.05, 0.2, 0.5)),
-    st.integers(min_value=0, max_value=10_000),
-)
-@PROPERTY_SETTINGS
-def test_minimalize_mask_matches_the_per_leaf_heap(n, p, seed):
-    """Settling the leaves that have a private edge with one neighbour OR
-    before the loop returns the same mask as queueing every leaf, on trees
-    and on sets with cycles, for n = 2..24 (bytes slice tables up to 8
-    vertices, lists above, several neighbour slices above 16), and on the
-    lone hub edge, a single-edge tree."""
+def _minimalize_cases(n, p, seed):
+    """(graph, CEDS mask) pairs: trees and sets with cycles of a random
+    graph, and of a hub graph, among them its lone hub edge, a single-edge
+    tree."""
     rng = random.Random(seed)
     g = _random_graph(n, rng, p)
     masks = [g.all_edges_mask, _spanning_tree_mask(g, g.all_edges_mask)]
     masks += [_random_ceds_mask(g, rng, extra) for extra in (0, 0, 1, 3)]
     hub = _hub_graph(n, rng)
     masks_hub = [1, hub.all_edges_mask, _random_ceds_mask(hub, rng, 1)]
-    for graph, cases in ((g, masks), (hub, masks_hub)):
-        for mask in cases:
-            assert _is_ceds_mask(graph, mask)
-            assert _minimalize_mask(graph, mask) == _minimalize_by_leaf_heap(graph, mask), mask
+    cases = [(g, mask) for mask in masks] + [(hub, mask) for mask in masks_hub]
+    assert all(_is_ceds_mask(graph, mask) for graph, mask in cases)
+    return cases
+
+
+MINIMALIZE_GRAPHS = given(
+    st.integers(min_value=2, max_value=24),
+    st.sampled_from((0.05, 0.2, 0.5)),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+@MINIMALIZE_GRAPHS
+@PROPERTY_SETTINGS
+def test_minimalize_mask_matches_the_per_leaf_heap(n, p, seed):
+    """Settling the leaves that have a private edge with one neighbour OR
+    before the loop, and then walking the others once, returns the same
+    mask as queueing every leaf and every leaf a removal exposes, on trees
+    and on sets with cycles, for n = 2..24 (bytes slice tables up to 8
+    vertices, lists above, several neighbour slices above 16), and on the
+    lone hub edge, a single-edge tree."""
+    for graph, mask in _minimalize_cases(n, p, seed):
+        assert _minimalize_mask(graph, mask) == _minimalize_by_leaf_heap(graph, mask), mask
+
+
+@MINIMALIZE_GRAPHS
+@PROPERTY_SETTINGS
+def test_minimalize_mask_removes_only_unsettled_leaves_of_its_input_tree(n, p, seed):
+    """The lemma behind the one pass: every removed edge is the pendant
+    edge of a leaf of the input tree T (the spanning tree the DFS keeps of
+    the mask), and that leaf had no neighbour outside V(T) at the start.
+    So a leaf that a removal exposes is never removed, and a leaf with a
+    private edge at the start keeps it."""
+    for graph, mask in _minimalize_cases(n, p, seed):
+        tree = _spanning_tree_mask(graph, mask)
+        vm, inner = _vertex_degree_masks(graph, tree)
+        result = _minimalize_mask(graph, mask)
+        assert result & ~tree == 0
+        for e in _bits(tree & ~result):
+            leaf = graph.edge_vmask[e] & ~inner
+            assert leaf.bit_count() == 1, (mask, e)  # the pendant edge of one leaf
+            assert not graph.neighbor_vmask[leaf.bit_length() - 1] & ~vm, (mask, e)
 
 
 def _grow_tree(g, rng, tree, extra):

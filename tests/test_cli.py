@@ -374,10 +374,14 @@ def test_kbest_computes_the_seed_once(c5_file, capsys, monkeypatch, output):
 
 
 def test_kbest_requires_a_positive_k(c5_file, capsys):
+    """A k below 1 is named in the message; a missing -k is not printed
+    as the None it parses to."""
     assert main(["kbest", c5_file, "-k", "0"]) == 1
-    capsys.readouterr()
+    assert "kbest requires -k >= 1, got 0" in capsys.readouterr().err
     assert main(["kbest", c5_file]) == 1
-    assert "requires -k >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kbest requires -k N with N >= 1" in err
+    assert "None" not in err
 
 
 # ---------------------------------------------------------------------------

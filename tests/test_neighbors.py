@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.graph import (
     _bits,
     _component_mask,
-    _dominated_mask,
     _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
@@ -39,7 +40,7 @@ from cedsenum.neighbors import (
     type2_neighbors,
     type3_neighbor,
 )
-from reference import private_mask
+from reference import dominated_mask, private_mask
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -207,7 +208,8 @@ def test_type1_matches_the_full_edge_scan(n, seed):
 def _all_neighbors_building_every_pair(g, x):
     """All moves from x, every Type I and Type II pair built and passed to
     ``_consider`` whether its mask is cached or not (the loops before each
-    candidate was built once).  Returns the batch items and the cache."""
+    candidate was built once), every move read off the adjacency lists.
+    Returns the batch items and the cache."""
     cache: dict = {}
     raw: list = []
     edge_vmask = g.edge_vmask
@@ -223,7 +225,7 @@ def _all_neighbors_building_every_pair(g, x):
         vmasks = (v0, vm & ~v0)
         for i in (0, 1):
             vi, vj = vmasks[i], vmasks[1 - i]
-            for f in _bits(_dominated_mask(g, comps[i]) & ~comps[i]):
+            for f in _bits(dominated_mask(g, comps[i]) & ~comps[i]):
                 fverts = edge_vmask[f]
                 inside = fverts & vi
                 if inside == fverts:
@@ -243,11 +245,15 @@ def _all_neighbors_building_every_pair(g, x):
             for z, h2 in g.adjacency[w]:
                 if h2 != h1 and z != v and rest_verts >> z & 1:
                     _consider(g, rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)), raw, cache)
-    view = _view(g, x)
     for e, v in pendants:
-        hit = type3_neighbor(g, view, e, v, cache)
-        if hit is not None:
-            raw.append(hit)
+        ws = g.neighbor_vmask[v] & ~vm
+        if any(g.degrees[w] == 1 for w in _bits(ws)):
+            continue  # a W-vertex of degree 1: the move is undefined
+        rest_verts = vm ^ (1 << v)
+        fmask = 0
+        for w in _bits(ws):
+            fmask |= 1 << next(h for z, h in g.adjacency[w] if rest_verts >> z & 1)
+        _consider(g, mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), raw, cache)
     seen = {x.mask}
     items = []
     for sol, prov in raw:
@@ -257,13 +263,18 @@ def _all_neighbors_building_every_pair(g, x):
     return items, cache
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 @given(st.integers(min_value=4, max_value=16), st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
-def test_all_neighbors_matches_building_every_pair(n, seed):
-    """Breaking each cycle where it is built and skipping the repeats
-    leave every batch, its order and its provenance, as they were, and
-    minimalize the DFS tree of every candidate the reference built."""
-    g = random_connected_graph(n, 0.3, seed)
+def test_all_neighbors_matches_building_every_pair(p, n, seed):
+    """Reading the moves off edge masks, breaking each cycle where it is
+    built and skipping the repeats leave every batch, its order and its
+    provenance, as they were, and minimalize the DFS tree of every
+    candidate the reference built.  The sparsest graphs hold the most
+    W-vertices of degree 1, where Type III is undefined; the denser ones
+    hold larger W-sets and more two-edge Type II paths through vertices
+    outside V(x)."""
+    g = random_connected_graph(n, p, seed)
     if min_ceds_is_singleton(g) is not None:
         return
     xs: list = []
@@ -386,6 +397,33 @@ def test_a_direct_call_self_checks_every_item_not_certified(c5, c5_solution, mon
     with pytest.raises(AssertionError):
         all_neighbors(c5, c5_solution)
     assert all_neighbors(c5, c5_solution, {bad}).items == items
+
+
+def test_every_batch_matches_the_golden_digest():
+    """Every item of every batch, its mask and its provenance, in order,
+    from every solution of every non-trivial corpus graph.  A solution
+    reached from many others is hashed in each of their batches, so the
+    provenance that each batch keeps for it is pinned too.  Recorded
+    before the moves read their edges off masks and minimalization took
+    one pass; a change meant to keep batches as they are keeps this."""
+    h = hashlib.sha256()
+    graphs = batches = items = 0
+    for g in [*tiny_corpus(), *random_corpus(12)]:
+        if min_ceds_is_singleton(g) is not None:
+            continue
+        graphs += 1
+        for x in brute_force_minimal_ceds(g):
+            batches += 1
+            for sol, prov in all_neighbors(g, x).items:
+                items += 1
+                h.update(f"{sol.mask} {prov.trace()}\n".encode())
+            h.update(b"\n")
+    assert (graphs, batches, items, h.hexdigest()) == (
+        518,
+        5_565,
+        82_196,
+        "8c8fd0cf74ca7b0033d6b5cb7200b8e36d9d9523cc567a6a2a6a4529d850fe1f",
+    )
 
 
 @given(st.integers(min_value=0, max_value=10_000))
