@@ -65,6 +65,17 @@ def initial_solution(g: Graph) -> Solution:
     return minimalize(g, g.all_edges_mask)
 
 
+def _check_limit(name: str, value: int | None) -> None:
+    """Refuse a cap that is neither None nor an int >= 1, before any output:
+    TypeError for a non-int (a bool included), ValueError below 1."""
+    if value is None:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _run(
     g: Graph,
     sink: Sink,
@@ -75,6 +86,22 @@ def _run(
     neighbor_cache: dict | None,
     on_insert: InsertHook | None,
 ) -> EnumerationStats:
+    """The traversal behind both enumerators.
+
+    With ``k`` set, the heap keeps only what can still be popped.  Once
+    ``o`` solutions are out, ``k - o`` pops remain, so an entry with
+    ``k - o`` smaller entries in the heap can only surface after every
+    remaining pop is used: each pop takes the smallest entry, later pushes
+    only add rivals, and solutions are distinct masks, so the order is
+    strict.  After a batch that leaves more than ``2(k - o)`` entries, the
+    heap is cut to its ``k - o`` smallest, and the largest of them becomes
+    ``bound``; from then on a solution at or above ``bound`` is not pushed.
+    A later cut leaves no fewer than ``k - o`` entries at or below the
+    current bound, so each bound is no larger than the one before.  A
+    solution left off the heap still enters ``visited``, reaches
+    ``on_insert`` and counts against ``max_visited``, so outputs, traces
+    and stats are those of an untrimmed heap.
+    """
     stats = EnumerationStats()
     t_last = perf_counter()
     delay_total = 0.0
@@ -120,6 +147,7 @@ def _run(
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
     heap: list[Solution] = []
+    bound: Solution | None = None  # set by the first trim of a k-capped heap
     queue: deque[Solution] = deque()
     if kbest:
         heap.append(start)
@@ -147,10 +175,14 @@ def _run(
             visited.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
-            if kbest:
-                heapq.heappush(heap, nb)
-            else:
+            if not kbest:
                 queue.append(nb)
+            elif bound is None or nb < bound:
+                heapq.heappush(heap, nb)
+        if k is not None and len(heap) > 2 * (k - stats.outputs):
+            # nsmallest returns its entries sorted, which is a valid heap
+            heap = heapq.nsmallest(k - stats.outputs, heap)
+            bound = heap[-1]
     stats.peak_visited = len(visited)
     return finalize()
 
@@ -169,8 +201,10 @@ def enumerate_all(
     ``neighbor_cache`` (a plain dict keyed by solution mask) lets callers
     reuse neighbor batches across runs on the same graph.  Raises
     :class:`MaxVisitedExceeded` when the optional ``max_visited`` guard
-    trips; sink errors propagate.
+    trips; sink errors propagate.  ``max_visited``, when given, must be an
+    int >= 1: TypeError otherwise, ValueError below 1, before any output.
     """
+    _check_limit("max_visited", max_visited)
     return _run(
         g, sink, kbest=False, k=None, max_visited=max_visited,
         neighbor_cache=neighbor_cache, on_insert=on_insert,
@@ -196,9 +230,15 @@ def enumerate_kbest(
     smallest solution not yet emitted, where ``c <= 2`` is the seed's ratio
     to the optimum.  ``k=None`` removes the output cap, which yields exactly
     the full solution set in best-first order.
+
+    ``k`` and ``max_visited``, when given, must be ints >= 1: TypeError
+    otherwise, ValueError below 1, before any output.  Memory: the visited
+    set keeps every mask the run inserts, while after each batch the heap
+    holds at most ``2(k - o)`` entries, ``o`` being the solutions out so
+    far; while a batch is pushed it grows by at most that batch.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_limit("k", k)
+    _check_limit("max_visited", max_visited)
     return _run(
         g, sink, kbest=True, k=k, max_visited=max_visited,
         neighbor_cache=neighbor_cache, on_insert=on_insert,

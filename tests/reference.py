@@ -3,7 +3,13 @@ the package."""
 
 from __future__ import annotations
 
+import heapq
+
+from cedsenum.approx import approx_min_ceds
+from cedsenum.ceds import enumerate_trivial, min_ceds_is_singleton
+from cedsenum.enumeration import EnumerationStats, InsertHook, Sink
 from cedsenum.graph import Graph, _bits
+from cedsenum.neighbors import all_neighbors
 
 
 def private_mask(g: Graph, mask: int, f: int) -> int:
@@ -24,3 +30,36 @@ def dominated_mask(g: Graph, mask: int) -> int:
     for e in _bits(mask):
         covered |= g.dominator_mask[e]
     return covered
+
+
+def kbest_untrimmed(g: Graph, k: int, sink: Sink, on_insert: InsertHook) -> EnumerationStats:
+    """``enumerate_kbest`` with a heap that is never trimmed: every inserted
+    solution stays on it until the k-th output.  The delays stay 0."""
+    stats = EnumerationStats()
+    if min_ceds_is_singleton(g) is not None:
+        for sol in enumerate_trivial(g)[:k]:
+            sink(sol)
+            stats.outputs += 1
+            stats.expansions += 1
+        return stats
+    seed = approx_min_ceds(g)
+    stats.seed_size, stats.seed_lower_bound = seed.solution.size, seed.lower_bound
+    stats.seed_ratio_bound = seed.observed_ratio_bound
+    visited = {seed.solution.mask}
+    heap = [seed.solution]
+    while heap:
+        sol = heapq.heappop(heap)
+        sink(sol)
+        stats.outputs += 1
+        if stats.outputs >= k:
+            break
+        stats.expansions += 1
+        for nb, prov in all_neighbors(g, sol, visited).items:
+            if nb.mask in visited:
+                stats.duplicates += 1
+                continue
+            visited.add(nb.mask)
+            on_insert(nb, prov)
+            heapq.heappush(heap, nb)
+    stats.peak_visited = len(visited)
+    return stats

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cedsenum import (
@@ -21,6 +22,8 @@ from cedsenum import (
 from cedsenum import enumeration, neighbors
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.enumeration import initial_solution
+
+from reference import kbest_untrimmed
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -282,6 +285,33 @@ def test_kbest_rejects_bad_k(c5):
         enumerate_kbest(c5, -3, lambda sol: None)
 
 
+@pytest.mark.parametrize("graph", ["c5", "star3", "k23_plus"])
+@pytest.mark.parametrize("kwargs, error", [
+    ({"k": 2.5}, TypeError),
+    ({"k": True}, TypeError),
+    ({"k": "3"}, TypeError),
+    ({"k": 0}, ValueError),
+    ({"max_visited": 2.5}, TypeError),
+    ({"max_visited": True}, TypeError),
+    ({"max_visited": 0}, ValueError),
+    ({"max_visited": -1}, ValueError),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(f"{a}={b!r}" for a, b in v.items()))
+def test_caps_are_checked_before_any_output(request, graph, kwargs, error):
+    """A general instance (c5) and two trivial ones refuse a bad cap alike,
+    and emit nothing first."""
+    g = request.getfixturevalue(graph)
+    name = next(iter(kwargs))
+    runs = [lambda sink: enumerate_kbest(g, kwargs.get("k", 3), sink,
+                                         max_visited=kwargs.get("max_visited"))]
+    if name == "max_visited":
+        runs.append(lambda sink: enumerate_all(g, sink, **kwargs))
+    for run in runs:
+        got = []
+        with pytest.raises(error, match=f"^{name} must be"):
+            run(got.append)
+        assert got == []
+
+
 def test_kbest_trivial_dispatch(star3):
     keys, _ = _collect_kbest(star3, 2)
     assert keys == [(0,), (1,)]
@@ -314,3 +344,35 @@ def test_kbest_prefixes_agree(seed):
         assert stats.outputs == k
     if min_ceds_is_singleton(g) is None:
         assert full[0] == approx_min_ceds(g).solution.canonical_key
+
+
+def test_benchmark_kbest_instance_matches_the_golden_digest():
+    """k=100 on the benchmark's k-best instance, with every ``on_insert``
+    trace.  The heap is trimmed 18 times in this run, against 2 and 6 times
+    on the smaller golden k-best instances; digest recorded before the heap
+    was trimmed."""
+    g = random_connected_graph(30, 0.15, 5)
+    assert _digest(_traced_lines(g, enumerate_kbest, 100)) == (
+        21101, "5cf77fa973675b8d3b82657be42795d3d13dbec5c0e0905dbdefc99850d5ae8e"
+    )
+
+
+@given(
+    st.integers(min_value=6, max_value=10),
+    st.sampled_from((0.25, 0.4, 0.6)),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=40),
+)
+@example(n=6, p=0.25, seed=11, k=2)  # a trivial instance
+@example(n=9, p=0.25, seed=104, k=40)  # a trivial instance
+@PROPERTY_SETTINGS
+def test_trimming_the_heap_changes_nothing(n, p, seed, k):
+    """The k-capped run trims its heap; one that never trims emits the same
+    solutions, reports the same insertions and counts the same."""
+    g = random_connected_graph(n, p, seed)
+    runs = []
+    for run in (enumerate_kbest, kbest_untrimmed):
+        out, inserts = [], []
+        stats = run(g, k, out.append, on_insert=lambda sol, prov: inserts.append((sol, prov.trace())))
+        runs.append((out, inserts, dataclasses.replace(stats, max_delay_s=0.0, mean_delay_s=0.0)))
+    assert runs[0] == runs[1]
