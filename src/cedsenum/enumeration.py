@@ -22,7 +22,7 @@ from .ceds import (
     Solution, enumerate_trivial, is_minimal_ceds, min_ceds_is_singleton, minimalize,
 )
 from .graph import Graph
-from .neighbors import NeighborBatch, Provenance, all_neighbors
+from .neighbors import Provenance, all_neighbors
 
 Sink = Callable[[Solution], None]
 InsertHook = Callable[[Solution, Provenance], None]
@@ -39,7 +39,12 @@ class MaxVisitedExceeded(RuntimeError):
 @dataclass
 class EnumerationStats:
     """Counters of one run.  The seed fields are set by a k-best run that
-    starts from the approximate seed, and stay None otherwise."""
+    starts from the approximate seed, and stay None otherwise.
+
+    ``peak_visited`` is the size of the visited set at the end, the start
+    included, and ``duplicates`` counts the batch items already in it.  A
+    k-capped run whose heap has a bound drops the items at or above it
+    first (see :func:`_run`), so neither counts them."""
 
     outputs: int = 0
     expansions: int = 0
@@ -88,19 +93,31 @@ def _run(
 ) -> EnumerationStats:
     """The traversal behind both enumerators.
 
-    With ``k`` set, the heap keeps only what can still be popped.  Once
+    With ``k`` set, the run keeps only what can still be popped.  Once
     ``o`` solutions are out, ``k - o`` pops remain, so an entry with
     ``k - o`` smaller entries in the heap can only surface after every
     remaining pop is used: each pop takes the smallest entry, later pushes
     only add rivals, and solutions are distinct masks, so the order is
     strict.  After a batch that leaves more than ``2(k - o)`` entries, the
     heap is cut to its ``k - o`` smallest, and the largest of them becomes
-    ``bound``; from then on a solution at or above ``bound`` is not pushed.
-    A later cut leaves no fewer than ``k - o`` entries at or below the
-    current bound, so each bound is no larger than the one before.  A
-    solution left off the heap still enters ``visited``, reaches
-    ``on_insert`` and counts against ``max_visited``, so outputs, traces
-    and stats are those of an untrimmed heap.
+    ``bound``.  A later cut leaves no fewer than ``k - o`` entries at or
+    below the current bound, so bounds only decrease.
+
+    From the first cut on, a batch item at or above ``bound`` is dropped
+    before anything else: it is not self-checked, does not enter
+    ``visited``, does not reach ``on_insert`` and counts neither against
+    ``max_visited`` nor as a duplicate.  It can never be popped, and when
+    a later batch finds it again it meets a bound no larger, so it is
+    dropped again.  An item that is kept is therefore kept where it is
+    first found, with the provenance an untrimmed run would record, and
+    the run pops the same solutions in the same order: outputs and
+    expansions are those of an untrimmed heap, while ``on_insert``,
+    ``duplicates`` and ``peak_visited`` see only the kept items.
+
+    :func:`all_neighbors` drops the items itself, before its self-check.
+    A run given ``neighbor_cache`` asks it for whole batches instead,
+    since a cached batch may later serve a run without a bound, and drops
+    them here.
     """
     stats = EnumerationStats()
     t_last = perf_counter()
@@ -159,14 +176,16 @@ def _run(
         if kbest and k is not None and stats.outputs >= k:
             break
         stats.expansions += 1
-        batch: NeighborBatch | None = None
-        if neighbor_cache is not None:
+        if neighbor_cache is None:
+            items = all_neighbors(g, sol, visited, below=bound).items
+        else:
             batch = neighbor_cache.get(sol.mask)
-        if batch is None:
-            batch = all_neighbors(g, sol, visited)
-            if neighbor_cache is not None:
-                neighbor_cache[sol.mask] = batch
-        for nb, prov in batch.items:
+            if batch is None:
+                batch = neighbor_cache[sol.mask] = all_neighbors(g, sol, visited)
+            items = batch.items
+            if bound is not None:
+                items = [item for item in items if item[0] < bound]
+        for nb, prov in items:
             if nb.mask in visited:
                 stats.duplicates += 1
                 continue
@@ -175,10 +194,10 @@ def _run(
             visited.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
-            if not kbest:
-                queue.append(nb)
-            elif bound is None or nb < bound:
+            if kbest:
                 heapq.heappush(heap, nb)
+            else:
+                queue.append(nb)
         if k is not None and len(heap) > 2 * (k - stats.outputs):
             # nsmallest returns its entries sorted, which is a valid heap
             heap = heapq.nsmallest(k - stats.outputs, heap)
@@ -232,10 +251,13 @@ def enumerate_kbest(
     the full solution set in best-first order.
 
     ``k`` and ``max_visited``, when given, must be ints >= 1: TypeError
-    otherwise, ValueError below 1, before any output.  Memory: the visited
-    set keeps every mask the run inserts, while after each batch the heap
-    holds at most ``2(k - o)`` entries, ``o`` being the solutions out so
-    far; while a batch is pushed it grows by at most that batch.
+    otherwise, ValueError below 1, before any output.  Memory: after each
+    batch the heap holds at most ``2(k - o)`` entries, ``o`` being the
+    solutions out so far; while a batch is pushed it grows by at most that
+    batch.  Once the heap has been cut, a solution found at or above its
+    largest entry can never be popped and is dropped unchecked: it does
+    not enter the visited set, reach ``on_insert``, count against
+    ``max_visited`` or count as a duplicate.
     """
     _check_limit("k", k)
     _check_limit("max_visited", max_visited)

@@ -307,8 +307,20 @@ def _component_mask(g: Graph, mask: int, e: int) -> int:
 
 
 def _is_connected_mask(g: Graph, mask: int) -> bool:
-    """True iff mask is nonempty and G[mask] has a single component."""
-    return mask != 0 and _component_mask(g, mask, (mask & -mask).bit_length() - 1) == mask
+    """True iff mask is nonempty and G[mask] has a single component.
+
+    The closure of :func:`_component_mask` from the lowest edge, keeping
+    only the edges not yet reached: it stops as soon as none is left.
+    """
+    dom = g.dominator_mask
+    frontier = mask & -mask
+    rest = mask ^ frontier
+    while frontier and rest:
+        low = frontier & -frontier
+        new = dom[low.bit_length() - 1] & rest
+        rest ^= new
+        frontier ^= low | new
+    return mask != 0 and not rest
 
 
 def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:

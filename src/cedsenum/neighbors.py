@@ -378,8 +378,15 @@ def _moves(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, Provenanc
     return out
 
 
-def all_neighbors(g: Graph, x: Solution, certified: Container[int] = frozenset()) -> NeighborBatch:
-    """All moves from x, deduplicated by mask, origin removed.
+def all_neighbors(
+    g: Graph,
+    x: Solution,
+    certified: Container[int] = frozenset(),
+    *,
+    below: Solution | None = None,
+) -> NeighborBatch:
+    """All moves from x, deduplicated by mask, origin removed, and with
+    ``below`` given, only the solutions ordered before it.
 
     Order is generation order: Type I, then II, then III, each internally
     deterministic, keeping the first provenance for a repeated solution.
@@ -389,7 +396,8 @@ def all_neighbors(g: Graph, x: Solution, certified: Container[int] = frozenset()
     skip is exact, since :func:`is_minimal_ceds` is a pure function of
     ``(g, mask)`` and a second call cannot answer otherwise.  A traversal
     passes its visited set, whose every mask was asserted once on its way
-    in; a direct call checks every item.
+    in; a direct call checks every item.  A solution left out by ``below``
+    is dropped before the assert, so it is never checked.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
@@ -400,6 +408,7 @@ def all_neighbors(g: Graph, x: Solution, certified: Container[int] = frozenset()
     for sol, prov in _moves(g, x, {}):
         if sol.mask not in seen:
             seen.add(sol.mask)
-            items.append((sol, prov))
+            if below is None or sol < below:
+                items.append((sol, prov))
     assert all(sol.mask in certified or is_minimal_ceds(g, sol.mask) for sol, _ in items)
     return NeighborBatch(items)

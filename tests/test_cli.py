@@ -29,6 +29,7 @@ from cedsenum import (
 )
 from cedsenum import approx, cli, enumeration, neighbors
 from cedsenum.cli import main
+from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import _bits
 
 PROPERTY_SETTINGS = settings(
@@ -371,6 +372,26 @@ def test_kbest_computes_the_seed_once(c5_file, capsys, monkeypatch, output):
         assert (stats["seed_size"], stats["seed_lower_bound"], stats["seed_ratio_bound"]) == (
             3, 2, "3/2"
         )
+
+
+def test_kbest_trace_and_max_visited_count_the_kept_solutions(tmp_path, capsys):
+    """On a general graph whose k-best run bounds its heap, ``--trace``
+    logs one line per kept solution, the start aside, and
+    ``--max-visited`` counts the same solutions: the run needs exactly
+    ``peak_visited`` of them."""
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list_text(random_connected_graph(14, 0.18, 8)))
+    assert main(["kbest", str(path), "-k", "20", "--trace", "--output", "stats"]) == 0
+    *trace, last = capsys.readouterr().err.splitlines()
+    peak = json.loads(last)["peak_visited"]
+    assert peak < 168  # the graph has 168 minimal CEDS; the run keeps fewer
+    assert len(trace) == peak - 1
+    assert all(line.startswith("TYPE") for line in trace)
+    args = ["kbest", str(path), "-k", "20", "--output", "solutions", "--max-visited"]
+    assert main([*args, str(peak)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    assert main([*args, str(peak - 1)]) == 3
+    assert "visited-solution limit" in capsys.readouterr().err
 
 
 def test_kbest_requires_a_positive_k(c5_file, capsys):

@@ -236,12 +236,30 @@ def test_output_order_matches_the_golden_digests():
 
 def test_scan_path_order_matches_the_golden_digest():
     """n > 14, so every domination test scans dominator masks rather than
-    the vertex-cover table; digest recorded before the bitmask kernels."""
+    the vertex-cover table.  Recorded before the bitmask kernels, then
+    again once a bounded run stopped keeping the solutions it can no
+    longer pop; the outputs alone are pinned by a digest recorded before
+    that."""
     g = random_connected_graph(20, 0.2, 11)
     assert g.n > 14
     assert _digest(_traced_lines(g, enumerate_kbest, 20)) == (
-        1544, "dcc97deb29cca74219d594e4bdf722d05ef5fa143197a9b7341bd73525ae1d20"
+        322, "237568779b476b40b26e18d349ed71cce7d7707aa7b3e9adae284c3bf8db0004"
     )
+
+
+@pytest.mark.parametrize("args, k, expected", [
+    ((20, 0.2, 11), 20, (20, "81b1ee88f49074b8bd679b83e12c9a67a2c0cdbc8529fea55cf571219617c98e")),
+    ((30, 0.15, 5), 100, (100, "448fc182c492a4a0ca31e21db7b10f51786efd43a3998c6a90129d20055ce37e")),
+])
+def test_kbest_outputs_match_the_golden_digests(args, k, expected):
+    """The output lines alone, in order, of the two k-best instances that
+    also have traced digests in this module; recorded before a bounded run
+    stopped keeping the solutions it can no longer pop, which changes the
+    traces but must not change the outputs."""
+    g = random_connected_graph(*args)
+    lines: list[str] = []
+    enumerate_kbest(g, k, lambda sol: lines.append(solution_line(g, sol)))
+    assert _digest(lines) == expected
 
 
 def test_corpus_sweep_matches_the_golden_digest():
@@ -324,6 +342,30 @@ def test_kbest_shares_the_neighbor_cache(c5):
     assert sorted(best) == sorted(full)
 
 
+@pytest.mark.parametrize("k", [5, 20])
+def test_a_neighbor_cache_changes_no_bounded_run(k):
+    """A bounded run given a cache asks for whole batches and drops what it
+    can no longer pop itself; it emits, reports and counts as a run without
+    one.  The whole batches it stored serve an unbounded run, which then
+    finds exactly the oracle's set (the k-capped run keeps 49 of the 168
+    solutions at k=20)."""
+    g = random_connected_graph(14, 0.18, 8)
+    runs = []
+    cache: dict = {}
+    for neighbor_cache in (None, cache):
+        out, inserts = [], []
+        stats = enumerate_kbest(
+            g, k, out.append, neighbor_cache=neighbor_cache,
+            on_insert=lambda sol, prov: inserts.append((sol, prov.trace())),
+        )
+        runs.append((out, inserts, dataclasses.replace(stats, max_delay_s=0.0, mean_delay_s=0.0)))
+    assert runs[0] == runs[1]
+    assert runs[0][2].peak_visited < 168
+    keys, _ = _collect_all(g, neighbor_cache=cache)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {s.canonical_key for s in brute_force_minimal_ceds(g)}
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=7))
 @PROPERTY_SETTINGS
 def test_enumeration_matches_the_oracle(seed, n):
@@ -349,11 +391,13 @@ def test_kbest_prefixes_agree(seed):
 def test_benchmark_kbest_instance_matches_the_golden_digest():
     """k=100 on the benchmark's k-best instance, with every ``on_insert``
     trace.  The heap is trimmed 18 times in this run, against 2 and 6 times
-    on the smaller golden k-best instances; digest recorded before the heap
-    was trimmed."""
+    on the smaller golden k-best instances.  Recorded before the heap was
+    trimmed, then again once a bounded run stopped keeping the solutions it
+    can no longer pop, which keeps 2,679 of them; the outputs alone are
+    pinned by a digest recorded before that."""
     g = random_connected_graph(30, 0.15, 5)
     assert _digest(_traced_lines(g, enumerate_kbest, 100)) == (
-        21101, "5cf77fa973675b8d3b82657be42795d3d13dbec5c0e0905dbdefc99850d5ae8e"
+        2779, "51095b26ac1692c75bbbb753399e3f4ea6d4d0ac485d1c5fc9cadb04f55d1ad0"
     )
 
 
@@ -367,12 +411,27 @@ def test_benchmark_kbest_instance_matches_the_golden_digest():
 @example(n=9, p=0.25, seed=104, k=40)  # a trivial instance
 @PROPERTY_SETTINGS
 def test_trimming_the_heap_changes_nothing(n, p, seed, k):
-    """The k-capped run trims its heap; one that never trims emits the same
-    solutions, reports the same insertions and counts the same."""
+    """The k-capped run trims its heap and drops what it can no longer pop;
+    one that never trims emits the same solutions after the same
+    expansions.  The run keeps a subsequence of the untrimmed run's
+    insertions, with their provenance, every output after the seed among
+    them, and counts only those in ``peak_visited`` and ``duplicates``."""
     g = random_connected_graph(n, p, seed)
     runs = []
     for run in (enumerate_kbest, kbest_untrimmed):
         out, inserts = [], []
         stats = run(g, k, out.append, on_insert=lambda sol, prov: inserts.append((sol, prov.trace())))
-        runs.append((out, inserts, dataclasses.replace(stats, max_delay_s=0.0, mean_delay_s=0.0)))
-    assert runs[0] == runs[1]
+        runs.append((out, inserts, stats))
+    (out, inserts, stats), (ref_out, ref_inserts, ref_stats) = runs
+    assert out == ref_out
+    kept_only = dict(max_delay_s=0.0, mean_delay_s=0.0, duplicates=0, peak_visited=0)
+    assert dataclasses.replace(stats, **kept_only) == dataclasses.replace(ref_stats, **kept_only)
+    ref_iter = iter(ref_inserts)
+    assert all(pair in ref_iter for pair in inserts)
+    assert stats.duplicates <= ref_stats.duplicates
+    if min_ceds_is_singleton(g) is not None:
+        assert inserts == [] and stats.peak_visited == stats.duplicates == 0
+        return
+    kept = {sol for sol, _ in inserts}
+    assert all(sol in kept for sol in out[1:])
+    assert stats.peak_visited == len(inserts) + 1

@@ -25,6 +25,7 @@ from cedsenum.graph import (
     SelfLoopError,
     _bits,
     _component_mask,
+    _is_connected_mask,
     _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
@@ -217,6 +218,33 @@ def _union_find_roots(edges: list[tuple[int, int]]) -> list[int]:
     for u, v in edges:
         parent[find(u)] = find(v)
     return [find(u) for u, _ in edges]
+
+
+@given(
+    st.integers(min_value=2, max_value=24),
+    st.sampled_from((0.0, 0.1, 0.3, 0.6, 0.9)),
+    st.integers(min_value=0, max_value=10_000),
+)
+@PROPERTY_SETTINGS
+def test_is_connected_mask_matches_the_full_closure(n, q, seed):
+    """The early-stopping closure answers as the full component closure
+    does: on the empty mask, on a random mask (often disconnected), on each
+    of its components and on the whole edge set (both connected)."""
+    rng = random.Random(seed)
+    g = random_connected_graph(n, 0.3, seed)
+    mask = sum(1 << e for e in range(g.m) if rng.random() < q)
+    comps = []
+    rest = mask
+    while rest:
+        comps.append(_component_mask(g, rest, (rest & -rest).bit_length() - 1))
+        rest &= ~comps[-1]
+    for m in (0, mask, g.all_edges_mask, *comps):
+        low = (m & -m).bit_length() - 1
+        assert _is_connected_mask(g, m) == (m != 0 and _component_mask(g, m, low) == m)
+    assert _is_connected_mask(g, mask) == (len(comps) == 1)
+    assert all(_is_connected_mask(g, c) for c in comps)
+    assert _is_connected_mask(g, g.all_edges_mask)
+    assert not _is_connected_mask(g, 0)
 
 
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10_000))

@@ -74,8 +74,9 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     path, and the moves build CEDS by construction, so no candidate is
     CEDS-tested.  Type I builds 147 distinct trees from its 155 distinct
     candidate masks.  The start is asserted in the traversal itself, outside
-    the ``ceds.self_check`` span, so the span counts the 94 inserted masks
-    of the 230 batch items."""
+    the ``ceds.self_check`` span, so the span counts the 48 inserted masks
+    of the 132 batch items: once the heap has a bound, ``all_neighbors``
+    leaves out every solution at or above it, unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
@@ -86,10 +87,10 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
         "neighbors.candidates.type2": 104,
         "neighbors.candidates.type3": 69,
         "neighbors.cache_hits": 0,
-        "neighbors.batch_items": 230,
+        "neighbors.batch_items": 132,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
     assert tracer.calls["ceds.minimalize"] == 321
-    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 94
+    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 48
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
