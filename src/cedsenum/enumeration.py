@@ -117,7 +117,10 @@ def _run(
     :func:`all_neighbors` drops the items itself, before its self-check.
     A run given ``neighbor_cache`` asks it for whole batches instead,
     since a cached batch may later serve a run without a bound, and drops
-    them here.
+    them here.  Every item of such a batch was asserted when the batch was
+    filled, but one at or above the bound never enters ``visited``, so the
+    run passes ``all_neighbors`` a ``certified`` set that also holds the
+    items of every batch it reads: each mask is asserted once per run.
     """
     stats = EnumerationStats()
     t_last = perf_counter()
@@ -160,9 +163,10 @@ def _run(
     else:
         start = initial_solution(g)
     # every mask enters visited asserted minimal: the start here, and each
-    # batch item in all_neighbors, which skips only the masks in visited
+    # batch item in all_neighbors, which skips only the masks in certified
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
+    certified = visited if neighbor_cache is None else set(visited)
     heap: list[Solution] = []
     bound: Solution | None = None  # set by the first trim of a k-capped heap
     queue: deque[Solution] = deque()
@@ -181,8 +185,9 @@ def _run(
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
-                batch = neighbor_cache[sol.mask] = all_neighbors(g, sol, visited)
+                batch = neighbor_cache[sol.mask] = all_neighbors(g, sol, certified)
             items = batch.items
+            certified.update(nb.mask for nb, _ in items)
             if bound is not None:
                 items = [item for item in items if item[0] < bound]
         for nb, prov in items:

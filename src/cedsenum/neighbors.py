@@ -211,7 +211,56 @@ def _dfs_cut(
     return max(ca[depth] if len(ca) > depth else chord, cb[depth] if len(cb) > depth else chord)
 
 
-def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
+def _growth_bound(g: Graph, view: _View, limit: int | None) -> tuple[int, list[int], int, int]:
+    """What the moves need to skip the candidates that grow x by a vertex
+    and provably minimalize to more than ``limit`` edges: (need, lone,
+    loose, two), with need 0 when nothing can be skipped.
+
+    Such a candidate c has |x| + 1 edges and V(c) = V(x) + z for one vertex
+    z outside V(x): a Type I x - e + f + g whose v lies outside V(x), or a
+    Type II x - e + h1 + h2 whose w does.  :func:`_minimalize_mask` removes
+    only leaves of its input tree that have no neighbour outside V(c), so c
+    minimalizes to at least |x| + 1 - |U+(e, z)| edges, where
+
+        U+(e, z) = (leaves(x) & lone[z]) | (fresh(e) & (loose | lone[z]))
+
+    over ``lone[z]``, the vertices of V(x) whose only neighbour outside V(x)
+    is z, ``loose``, those with none, and fresh(e), the endpoints of e with
+    degree two in x (``two``).  A leaf of c in V(x) is either a leaf of x,
+    or a vertex of degree two in x that lost e and gained nothing (z has
+    its two new edges and is no leaf).  A leaf of the minimal x has a
+    neighbour outside V(x), and it has none outside V(c) only when z is
+    the only one; a fresh leaf has none when it had none outside V(x), or
+    only z.  The moves skip every candidate of (e, z) when
+    ``|U+(e, z)| < need = |x| + 1 - limit``.
+
+    The pass over V(x) runs only when |x| >= limit: a candidate of at most
+    ``limit`` edges cannot minimalize to more.
+    """
+    size = view.mask.bit_count()
+    if limit is None or size < limit:
+        return 0, [], 0, 0
+    nbr, inc, mask, vm = g.neighbor_vmask, g.incident_mask, view.mask, view.vm
+    lone = [0] * g.n
+    loose = two = 0
+    rest = vm
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        out = nbr[u] & ~vm
+        if not out:
+            loose |= low
+        elif not out & (out - 1):
+            lone[out.bit_length() - 1] |= low
+        if (inc[u] & mask).bit_count() == 2:
+            two |= low
+        rest ^= low
+    return size + 1 - limit, lone, loose, two
+
+
+def type1_neighbors(
+    g: Graph, view: _View, cache: dict, limit: int | None = None
+) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
     Removing internal edge e leaves components C_0, C_1 (each with an
@@ -245,10 +294,17 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     lowest common ancestor of v and g's other end in x rooted at r; the
     candidate becomes the tree it would give (:func:`_dfs_cut`), read off
     the rooting in ``view``.
+
+    With ``limit`` given, an f whose v lies outside V(x) is skipped with all
+    its g when every x - e + f + g provably minimalizes to more than
+    ``limit`` edges (:func:`_growth_bound`, with z = v): e is internal, so
+    its endpoints stay in V(x - e) = V(x), and c is a tree on V(x) + v.
     """
     out: list[tuple[Solution, TypeI]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
+    need, lone, loose, two = _growth_bound(g, view, limit)
+    leaves = vm & ~inner
 
     def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
         a, b = edges[h]
@@ -266,10 +322,14 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
         touch0, within0 = _touch_within(inc, v0)
         touch1, within1 = _touch_within(inc, vm & ~v0)
         at_v = v0 >> r & 1  # on side 0, the DFS reaches a cycle through f
+        fresh = edge_vmask[e] & two
+        ends, fresh_loose = leaves | fresh, fresh & loose
         for f in _bits(touch0 & ~within0):
             v = (edge_vmask[f] & ~v0).bit_length() - 1
             base = rest | (1 << f)
             if not touch1 >> f & 1:  # v lies outside V(x)
+                if need and (ends & lone[v] | fresh_loose).bit_count() < need:
+                    continue
                 for h in _bits(inc[v] & touch1):
                     if base | (1 << h) not in cache:
                         _consider(g, base | (1 << h), TypeI(e, f, h), out, cache)
@@ -290,7 +350,9 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     return out
 
 
-def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeII]]:
+def type2_neighbors(
+    g: Graph, view: _View, cache: dict, limit: int | None = None
+) -> list[tuple[Solution, TypeII]]:
     """Moves that replace a pendant edge by a short escape path.
 
     For pendant edge e with pendant vertex v, every path of length one or
@@ -311,19 +373,30 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     enters the cycle at w when r is the leaf v, and otherwise at the
     lowest common ancestor of w and z in x rooted at r; the candidate
     becomes the tree it would give, as in :func:`type1_neighbors`.
+
+    With ``limit`` given, an h1 whose w lies outside V(x) is skipped with
+    all its h2 when every x - e + h1 + h2 provably minimalizes to more than
+    ``limit`` edges (:func:`_growth_bound`, with z = w): the leaf v is back
+    through h1, and c is a tree on V(x) + w.
     """
     out: list[tuple[Solution, TypeII]] = []
-    edges, inc = g.edges, g.incident_mask
+    edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, touch, within = view.mask, view.vm, view.touch, view.within
     r, anc, chain = view.r, view.anc, view.chain
+    need, lone, loose, two = _growth_bound(g, view, limit)
+    leaves = vm & ~view.inner
     for e, v in view.pendants:
         rest = mask ^ (1 << e)
         for h in _bits(inc[v] & within):
             if rest | (1 << h) not in cache:
                 _consider(g, rest | (1 << h), TypeII(e, (h,)), out, cache)
         chords = within & ~rest
+        fresh = edge_vmask[e] & two
+        ends, fresh_loose = leaves | fresh, fresh & loose
         for w, h1 in g.adjacency[v]:
             rejoins = vm >> w & 1  # h1 alone puts v back
+            if need and not rejoins and (ends & lone[w] | fresh_loose).bit_count() < need:
+                continue
             for h2 in _bits(inc[w] & (chords if rejoins else touch) & ~(1 << h1)):
                 cand = rest | (1 << h1) | (1 << h2)
                 if rejoins:
@@ -362,15 +435,19 @@ def type3_neighbor(
     return out[0]
 
 
-def _moves(g: Graph, x: Solution, cache: dict) -> list[tuple[Solution, Provenance]]:
+def _moves(
+    g: Graph, x: Solution, cache: dict, limit: int | None = None
+) -> list[tuple[Solution, Provenance]]:
     """Every move from x, a solution of two or more edges, repeats and x
     itself included: Type I, then II, then III, each internally
     deterministic, all reading one :class:`_View` of x and sharing
-    ``cache``."""
+    ``cache``.  With ``limit`` given, Types I and II leave out candidates
+    that provably minimalize to more than ``limit`` edges
+    (:func:`_growth_bound`)."""
     view = _view(g, x)
     out: list[tuple[Solution, Provenance]] = []
-    out += type1_neighbors(g, view, cache)
-    out += type2_neighbors(g, view, cache)
+    out += type1_neighbors(g, view, cache, limit)
+    out += type2_neighbors(g, view, cache, limit)
     for e, v in view.pendants:
         hit = type3_neighbor(g, view, e, v, cache)
         if hit is not None:
@@ -398,6 +475,17 @@ def all_neighbors(
     passes its visited set, whose every mask was asserted once on its way
     in; a direct call checks every item.  A solution left out by ``below``
     is dropped before the assert, so it is never checked.
+
+    With ``below`` given, the moves do not even build the candidates that
+    provably minimalize to more than ``below.size`` edges (:func:`_moves`
+    with ``limit=below.size``).  The batch is still exactly the unbounded
+    batch without the solutions at or above ``below``, in the same order
+    and with the same provenance.  A skipped candidate's solution would
+    have been dropped, and so would every repeat of it.  A skipped
+    candidate holds every edge of x but e and spans V(x) + z, so its mask
+    fixes (e, z): every move that builds the same mask again is skipped, and
+    no kept move finds in the cache a candidate that only a skipped one
+    would have put there.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
@@ -405,7 +493,7 @@ def all_neighbors(
         return NeighborBatch([])
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
-    for sol, prov in _moves(g, x, {}):
+    for sol, prov in _moves(g, x, {}, None if below is None else below.size):
         if sol.mask not in seen:
             seen.add(sol.mask)
             if below is None or sol < below:

@@ -366,6 +366,36 @@ def test_a_neighbor_cache_changes_no_bounded_run(k):
     assert set(keys) == {s.canonical_key for s in brute_force_minimal_ceds(g)}
 
 
+@pytest.mark.parametrize("run", [
+    lambda g, cache: enumerate_kbest(g, 20, lambda sol: None, neighbor_cache=cache),
+    lambda g, cache: enumerate_kbest(g, None, lambda sol: None, neighbor_cache=cache),
+    lambda g, cache: enumerate_all(g, lambda sol: None, neighbor_cache=cache),
+], ids=["kbest-20", "kbest-all", "all"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_no_mask_is_asserted_twice_in_one_run(monkeypatch, run, cached):
+    """Every mask a run asserts minimal is asserted once.  A bounded run
+    given a cache reads whole batches, whose items at or above the bound
+    never enter the visited set, and finds many of them again; they were
+    asserted when their batch was filled.  A second run on the filled
+    cache asserts only the start."""
+    g = random_connected_graph(14, 0.18, 8)
+    asserted: list[int] = []
+
+    def counted(g, mask):
+        asserted.append(mask)
+        return is_minimal_ceds(g, mask)
+
+    for module in (enumeration, neighbors):
+        monkeypatch.setattr(module, "is_minimal_ceds", counted)
+    cache: dict | None = {} if cached else None
+    run(g, cache)
+    assert asserted and len(asserted) == len(set(asserted))
+    if cached:
+        asserted.clear()
+        run(g, cache)
+        assert len(asserted) == 1
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=7))
 @PROPERTY_SETTINGS
 def test_enumeration_matches_the_oracle(seed, n):

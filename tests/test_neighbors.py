@@ -426,6 +426,62 @@ def test_every_batch_matches_the_golden_digest():
     )
 
 
+def _bounded_batch_skips(g, x, below):
+    """Check that ``below`` leaves the batch from x as the unbounded one
+    without its solutions at or above ``below``, items, order and
+    provenance alike, and return the candidates the size bound skipped:
+    the unbounded moves without the bounded ones, which must be a
+    subsequence of them, each minimalizing to more than ``below.size``."""
+    full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x).items]
+    got = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, below=below).items]
+    assert got == [item for item in full if item[0] < below]
+    kept = iter([(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below.size)])
+    nxt = next(kept, None)
+    skipped = []
+    for item in ((sol, prov.trace()) for sol, prov in _moves(g, x, {})):
+        if item == nxt:
+            nxt = next(kept, None)
+        else:
+            skipped.append(item)
+    assert nxt is None
+    assert all(sol.size > below.size for sol, _ in skipped)
+    return skipped
+
+
+@given(
+    st.integers(min_value=6, max_value=12),
+    st.sampled_from([0.25, 0.4, 0.6]),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+@PROPERTY_SETTINGS
+def test_a_size_bound_skips_only_what_below_drops(n, p, seed, data):
+    """x and ``below`` are drawn from the graph's solutions, ``below``
+    no more than one edge larger than x, so that most draws let the
+    moves skip candidates (only a bound of at most |x| edges can)."""
+    g = random_connected_graph(n, p, seed)
+    if min_ceds_is_singleton(g) is not None:
+        return
+    sols: list = []
+    enumerate_kbest(g, 100, sols.append)
+    x = data.draw(st.sampled_from(sols))
+    below = data.draw(st.sampled_from([s for s in sols if s.size <= x.size + 1]))
+    _bounded_batch_skips(g, x, below)
+
+
+def test_a_size_bound_skips_only_what_below_drops_on_the_scan_path():
+    """The same check on the k-best scan-path instance (n = 20 > 14), for
+    ten solutions x of 10 to 12 edges against ten bounds each."""
+    g = random_connected_graph(20, 0.2, 11)
+    sols: list = []
+    enumerate_kbest(g, 200, sols.append)
+    skipped = 0
+    for x in sols[::20]:
+        for below in sols[5::20]:
+            skipped += len(_bounded_batch_skips(g, x, below))
+    assert skipped > 0
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @PROPERTY_SETTINGS
 def test_neighbors_are_minimal_trees(seed):

@@ -72,25 +72,28 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     Each candidate is built once per expansion, as the tree the DFS would
     keep of it, so the cache is never hit, no DFS runs on the candidate
     path, and the moves build CEDS by construction, so no candidate is
-    CEDS-tested.  Type I builds 147 distinct trees from its 155 distinct
-    candidate masks.  The start is asserted in the traversal itself, outside
-    the ``ceds.self_check`` span, so the span counts the 48 inserted masks
-    of the 132 batch items: once the heap has a bound, ``all_neighbors``
-    leaves out every solution at or above it, unchecked."""
+    CEDS-tested.  Unbounded, Type I builds 147 distinct trees from its 155
+    distinct candidate masks, and Type II 104.  Once the heap has a bound,
+    the moves skip the candidates that provably minimalize above it, 5 of
+    Type I and 5 of Type II here, so 142, 99 and 69 candidates are
+    minimalized, and the seed once more.  The start is asserted in the
+    traversal itself, outside the ``ceds.self_check`` span, so the span
+    counts the 48 inserted masks of the 132 batch items: ``all_neighbors``
+    also leaves out every solution at or above the bound, unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
         lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     )
     counts = {
-        "neighbors.candidates.type1": 147,
-        "neighbors.candidates.type2": 104,
+        "neighbors.candidates.type1": 142,
+        "neighbors.candidates.type2": 99,
         "neighbors.candidates.type3": 69,
         "neighbors.cache_hits": 0,
         "neighbors.batch_items": 132,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 321
+    assert tracer.calls["ceds.minimalize"] == 142 + 99 + 69 + 1
     assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 48
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
