@@ -115,12 +115,8 @@ def _run(
     ``duplicates`` and ``peak_visited`` see only the kept items.
 
     :func:`all_neighbors` drops the items itself, before its self-check.
-    A run given ``neighbor_cache`` asks it for whole batches instead,
-    since a cached batch may later serve a run without a bound, and drops
-    them here.  Every item of such a batch was asserted when the batch was
-    filled, but one at or above the bound never enters ``visited``, so the
-    run passes ``all_neighbors`` a ``certified`` set that also holds the
-    items of every batch it reads: each mask is asserted once per run.
+    A run with ``k`` set neither reads nor fills ``neighbor_cache``: a
+    bounded batch would not serve a later run.
     """
     stats = EnumerationStats()
     t_last = perf_counter()
@@ -155,6 +151,8 @@ def _run(
             raise MaxVisitedExceeded(max_visited)
         return finalize()
 
+    if k is not None:
+        neighbor_cache = None
     if kbest:
         seed = approx_min_ceds(g)
         start = seed.solution
@@ -163,10 +161,10 @@ def _run(
     else:
         start = initial_solution(g)
     # every mask enters visited asserted minimal: the start here, and each
-    # batch item in all_neighbors, which skips only the masks in certified
+    # batch item in all_neighbors, which skips only the masks already in
+    # visited; a cached batch was asserted by the run that filled it
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
-    certified = visited if neighbor_cache is None else set(visited)
     heap: list[Solution] = []
     bound: Solution | None = None  # set by the first trim of a k-capped heap
     queue: deque[Solution] = deque()
@@ -185,11 +183,8 @@ def _run(
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
-                batch = neighbor_cache[sol.mask] = all_neighbors(g, sol, certified)
+                batch = neighbor_cache[sol.mask] = all_neighbors(g, sol, visited)
             items = batch.items
-            certified.update(nb.mask for nb, _ in items)
-            if bound is not None:
-                items = [item for item in items if item[0] < bound]
         for nb, prov in items:
             if nb.mask in visited:
                 stats.duplicates += 1
@@ -222,8 +217,8 @@ def enumerate_all(
     """Feed every minimal CEDS of g to ``sink`` exactly once.
 
     Breadth-first from ``initial_solution``; deterministic output order.
-    ``neighbor_cache`` (a plain dict keyed by solution mask) lets callers
-    reuse neighbor batches across runs on the same graph.  Raises
+    ``neighbor_cache`` (a plain dict keyed by solution mask) lets runs
+    without a k cap on the same graph reuse neighbor batches.  Raises
     :class:`MaxVisitedExceeded` when the optional ``max_visited`` guard
     trips; sink errors propagate.  ``max_visited``, when given, must be an
     int >= 1: TypeError otherwise, ValueError below 1, before any output.
@@ -253,7 +248,8 @@ def enumerate_kbest(
     output, the largest size emitted so far is at most ``c + 2`` times the
     smallest solution not yet emitted, where ``c <= 2`` is the seed's ratio
     to the optimum.  ``k=None`` removes the output cap, which yields exactly
-    the full solution set in best-first order.
+    the full solution set in best-first order.  With ``k`` set,
+    ``neighbor_cache`` is ignored: it is neither read nor filled.
 
     ``k`` and ``max_visited``, when given, must be ints >= 1: TypeError
     otherwise, ValueError below 1, before any output.  Memory: after each

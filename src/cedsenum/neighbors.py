@@ -78,8 +78,8 @@ class _View:
     """The expanded solution x, walked once for all three moves: its mask,
     V(x) and its inner vertices (degree two or more in x), its pendant
     items (edge, leaf) in ascending edge order, the edges with an endpoint
-    in V(x) (``touch``) and with both there (``within``), and x rooted at
-    r = min V(x) (:func:`_rooted`).
+    in V(x) (``touch``) and with both there (``within``), x rooted at
+    r = min V(x) (:func:`_rooted`), and the size bound's :func:`_growth_bound`.
 
     The moves read the edges that rejoin a vertex to x off these masks: the
     set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
@@ -94,6 +94,10 @@ class _View:
     r: int
     anc: list[int]
     chain: list[tuple[int, ...]]
+    need: int
+    lone: list[int]
+    loose: int
+    two: int
 
 
 def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
@@ -110,13 +114,13 @@ def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
     return touch, within
 
 
-def _view(g: Graph, x: Solution) -> _View:
+def _view(g: Graph, x: Solution, limit: int | None = None) -> _View:
     mask = x.mask
     vm, inner = _vertex_degree_masks(g, mask)
     r = (vm & -vm).bit_length() - 1
     return _View(
         mask, vm, inner, _pendant_items(g, mask), *_touch_within(g.incident_mask, vm),
-        r, *_rooted(g, mask, r),
+        r, *_rooted(g, mask, r), *_growth_bound(g, mask, vm, limit),
     )
 
 
@@ -211,10 +215,13 @@ def _dfs_cut(
     return max(ca[depth] if len(ca) > depth else chord, cb[depth] if len(cb) > depth else chord)
 
 
-def _growth_bound(g: Graph, view: _View, limit: int | None) -> tuple[int, list[int], int, int]:
-    """What the moves need to skip the candidates that grow x by a vertex
-    and provably minimalize to more than ``limit`` edges: (need, lone,
-    loose, two), with need 0 when nothing can be skipped.
+def _growth_bound(
+    g: Graph, mask: int, vm: int, limit: int | None
+) -> tuple[int, list[int], int, int]:
+    """What the moves need to skip the candidates that grow x (``mask``, on
+    ``vm``) by a vertex and provably minimalize to more than ``limit``
+    edges: (need, lone, loose, two), with need 0 when nothing can be
+    skipped.  :func:`_view` computes it once per expansion.
 
     Such a candidate c has |x| + 1 edges and V(c) = V(x) + z for one vertex
     z outside V(x): a Type I x - e + f + g whose v lies outside V(x), or a
@@ -237,10 +244,10 @@ def _growth_bound(g: Graph, view: _View, limit: int | None) -> tuple[int, list[i
     The pass over V(x) runs only when |x| >= limit: a candidate of at most
     ``limit`` edges cannot minimalize to more.
     """
-    size = view.mask.bit_count()
+    size = mask.bit_count()
     if limit is None or size < limit:
         return 0, [], 0, 0
-    nbr, inc, mask, vm = g.neighbor_vmask, g.incident_mask, view.mask, view.vm
+    nbr, inc = g.neighbor_vmask, g.incident_mask
     lone = [0] * g.n
     loose = two = 0
     rest = vm
@@ -258,9 +265,7 @@ def _growth_bound(g: Graph, view: _View, limit: int | None) -> tuple[int, list[i
     return size + 1 - limit, lone, loose, two
 
 
-def type1_neighbors(
-    g: Graph, view: _View, cache: dict, limit: int | None = None
-) -> list[tuple[Solution, TypeI]]:
+def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
     Removing internal edge e leaves components C_0, C_1 (each with an
@@ -295,15 +300,15 @@ def type1_neighbors(
     candidate becomes the tree it would give (:func:`_dfs_cut`), read off
     the rooting in ``view``.
 
-    With ``limit`` given, an f whose v lies outside V(x) is skipped with all
-    its g when every x - e + f + g provably minimalizes to more than
-    ``limit`` edges (:func:`_growth_bound`, with z = v): e is internal, so
-    its endpoints stay in V(x - e) = V(x), and c is a tree on V(x) + v.
+    With ``limit`` given to :func:`_view`, an f whose v lies outside V(x) is
+    skipped with all its g when every x - e + f + g provably minimalizes to
+    more than ``limit`` edges (the view's :func:`_growth_bound`, z = v): e
+    is internal, so V(x - e) = V(x), and c is a tree on V(x) + v.
     """
     out: list[tuple[Solution, TypeI]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
-    need, lone, loose, two = _growth_bound(g, view, limit)
+    need, lone, loose, two = view.need, view.lone, view.loose, view.two
     leaves = vm & ~inner
 
     def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
@@ -350,9 +355,7 @@ def type1_neighbors(
     return out
 
 
-def type2_neighbors(
-    g: Graph, view: _View, cache: dict, limit: int | None = None
-) -> list[tuple[Solution, TypeII]]:
+def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeII]]:
     """Moves that replace a pendant edge by a short escape path.
 
     For pendant edge e with pendant vertex v, every path of length one or
@@ -374,16 +377,16 @@ def type2_neighbors(
     lowest common ancestor of w and z in x rooted at r; the candidate
     becomes the tree it would give, as in :func:`type1_neighbors`.
 
-    With ``limit`` given, an h1 whose w lies outside V(x) is skipped with
-    all its h2 when every x - e + h1 + h2 provably minimalizes to more than
-    ``limit`` edges (:func:`_growth_bound`, with z = w): the leaf v is back
-    through h1, and c is a tree on V(x) + w.
+    With ``limit`` given to :func:`_view`, an h1 whose w lies outside V(x)
+    is skipped with all its h2 when every x - e + h1 + h2 provably
+    minimalizes to more than ``limit`` edges (the view's
+    :func:`_growth_bound`, z = w): the leaf v is back, and c spans V(x) + w.
     """
     out: list[tuple[Solution, TypeII]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, touch, within = view.mask, view.vm, view.touch, view.within
     r, anc, chain = view.r, view.anc, view.chain
-    need, lone, loose, two = _growth_bound(g, view, limit)
+    need, lone, loose, two = view.need, view.lone, view.loose, view.two
     leaves = vm & ~view.inner
     for e, v in view.pendants:
         rest = mask ^ (1 << e)
@@ -443,11 +446,11 @@ def _moves(
     deterministic, all reading one :class:`_View` of x and sharing
     ``cache``.  With ``limit`` given, Types I and II leave out candidates
     that provably minimalize to more than ``limit`` edges
-    (:func:`_growth_bound`)."""
-    view = _view(g, x)
+    (:func:`_growth_bound`, once, in :func:`_view`)."""
+    view = _view(g, x, limit)
     out: list[tuple[Solution, Provenance]] = []
-    out += type1_neighbors(g, view, cache, limit)
-    out += type2_neighbors(g, view, cache, limit)
+    out += type1_neighbors(g, view, cache)
+    out += type2_neighbors(g, view, cache)
     for e, v in view.pendants:
         hit = type3_neighbor(g, view, e, v, cache)
         if hit is not None:

@@ -343,22 +343,32 @@ def test_kbest_shares_the_neighbor_cache(c5):
 
 
 @pytest.mark.parametrize("k", [5, 20])
-def test_a_neighbor_cache_changes_no_bounded_run(k):
-    """A bounded run given a cache asks for whole batches and drops what it
-    can no longer pop itself; it emits, reports and counts as a run without
-    one.  The whole batches it stored serve an unbounded run, which then
-    finds exactly the oracle's set (the k-capped run keeps 49 of the 168
-    solutions at k=20)."""
+def test_a_neighbor_cache_changes_no_bounded_run(monkeypatch, k):
+    """A k-capped run given a cache neither reads nor fills it: it emits,
+    reports, counts and minimalizes as a run without one, and leaves the
+    cache empty.  An unbounded run on that cache then finds exactly the
+    oracle's set (the k-capped run keeps 49 of the 168 solutions at
+    k=20)."""
     g = random_connected_graph(14, 0.18, 8)
+    minimalize, calls = neighbors._minimalize_mask, []
+
+    def counted(g, mask):
+        calls.append(mask)
+        return minimalize(g, mask)
+
+    monkeypatch.setattr(neighbors, "_minimalize_mask", counted)
     runs = []
     cache: dict = {}
     for neighbor_cache in (None, cache):
+        calls.clear()
         out, inserts = [], []
         stats = enumerate_kbest(
             g, k, out.append, neighbor_cache=neighbor_cache,
             on_insert=lambda sol, prov: inserts.append((sol, prov.trace())),
         )
-        runs.append((out, inserts, dataclasses.replace(stats, max_delay_s=0.0, mean_delay_s=0.0)))
+        assert cache == {}
+        stats = dataclasses.replace(stats, max_delay_s=0.0, mean_delay_s=0.0)
+        runs.append((out, inserts, stats, len(calls)))
     assert runs[0] == runs[1]
     assert runs[0][2].peak_visited < 168
     keys, _ = _collect_all(g, neighbor_cache=cache)
@@ -366,18 +376,17 @@ def test_a_neighbor_cache_changes_no_bounded_run(k):
     assert set(keys) == {s.canonical_key for s in brute_force_minimal_ceds(g)}
 
 
-@pytest.mark.parametrize("run", [
-    lambda g, cache: enumerate_kbest(g, 20, lambda sol: None, neighbor_cache=cache),
-    lambda g, cache: enumerate_kbest(g, None, lambda sol: None, neighbor_cache=cache),
-    lambda g, cache: enumerate_all(g, lambda sol: None, neighbor_cache=cache),
+@pytest.mark.parametrize("run, fills", [
+    (lambda g, cache: enumerate_kbest(g, 20, lambda sol: None, neighbor_cache=cache), False),
+    (lambda g, cache: enumerate_kbest(g, None, lambda sol: None, neighbor_cache=cache), True),
+    (lambda g, cache: enumerate_all(g, lambda sol: None, neighbor_cache=cache), True),
 ], ids=["kbest-20", "kbest-all", "all"])
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
-def test_no_mask_is_asserted_twice_in_one_run(monkeypatch, run, cached):
-    """Every mask a run asserts minimal is asserted once.  A bounded run
-    given a cache reads whole batches, whose items at or above the bound
-    never enter the visited set, and finds many of them again; they were
-    asserted when their batch was filled.  A second run on the filled
-    cache asserts only the start."""
+def test_no_mask_is_asserted_twice_in_one_run(monkeypatch, run, fills, cached):
+    """Every mask a run asserts minimal is asserted once.  A run without a
+    k cap fills the cache with batches it asserted, so a second run on it
+    asserts only the start.  A k-capped run leaves the cache empty, so a
+    second one asserts exactly what the first did, each mask once."""
     g = random_connected_graph(14, 0.18, 8)
     asserted: list[int] = []
 
@@ -391,9 +400,10 @@ def test_no_mask_is_asserted_twice_in_one_run(monkeypatch, run, cached):
     run(g, cache)
     assert asserted and len(asserted) == len(set(asserted))
     if cached:
+        first = list(asserted)
         asserted.clear()
         run(g, cache)
-        assert len(asserted) == 1
+        assert asserted == ([first[0]] if fills else first)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=7))
