@@ -79,7 +79,8 @@ class _View:
     V(x) and its inner vertices (degree two or more in x), its pendant
     items (edge, leaf) in ascending edge order, the edges with an endpoint
     in V(x) (``touch``) and with both there (``within``), x rooted at
-    r = min V(x) (:func:`_rooted`), and the size bound's :func:`_growth_bound`.
+    r = min V(x) (:func:`_rooted`), the size bound ``limit`` (None when
+    unbounded) and its :func:`_growth_bound`.
 
     The moves read the edges that rejoin a vertex to x off these masks: the
     set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
@@ -94,6 +95,7 @@ class _View:
     r: int
     anc: list[int]
     chain: list[tuple[int, ...]]
+    limit: int | None
     need: int
     lone: list[int]
     loose: int
@@ -120,7 +122,7 @@ def _view(g: Graph, x: Solution, limit: int | None = None) -> _View:
     r = (vm & -vm).bit_length() - 1
     return _View(
         mask, vm, inner, _pendant_items(g, mask), *_touch_within(g.incident_mask, vm),
-        r, *_rooted(g, mask, r), *_growth_bound(g, mask, vm, limit),
+        r, *_rooted(g, mask, r), limit, *_growth_bound(g, mask, vm, limit),
     )
 
 
@@ -424,15 +426,35 @@ def type3_neighbor(
     returned, when some w has no such edge.  That is exactly when w has
     degree 1 in G: every other edge (w, y) has y != v, x dominates it, and
     w lies outside V(x), so y lies in V(x) - v.
+
+    With ``limit`` given to :func:`_view`, None is also returned when the
+    candidate c = x - e + F provably minimalizes to more than ``limit``
+    edges.  c is a tree of |x| - 1 + |W| edges on V(x) - v + W, and
+    :func:`_minimalize_mask` removes only leaves of c without a neighbour
+    outside V(c), one edge each.  v lies outside V(c), so no vertex of
+    N(v) goes: not a w, which is a leaf of c, and not v's parent, which
+    keeps another edge of x.  Every other leaf of c is a leaf ell of x that
+    no edge of F reaches, and it can go only when N(ell) - V(x), nonempty
+    since x is minimal, lies in W.  The move is skipped when fewer such
+    leaves are left than the |x| - 1 + |W| - limit edges c must shed.
     """
-    inc = g.incident_mask
-    reach = view.touch & ~inc[v]
-    fmask = 0
-    for w in _bits(g.neighbor_vmask[v] & ~view.vm):
+    inc, nbr, edge_vmask = g.incident_mask, g.neighbor_vmask, g.edge_vmask
+    vm, reach = view.vm, view.touch & ~inc[v]
+    ws = nbr[v] & ~vm
+    fmask = ends = 0
+    for w in _bits(ws):
         hs = inc[w] & reach
         if not hs:
             return None
-        fmask |= hs & -hs
+        low = hs & -hs
+        fmask |= low
+        ends |= edge_vmask[low.bit_length() - 1]
+    if view.limit is not None:
+        excess = view.mask.bit_count() - 1 + ws.bit_count() - view.limit
+        if excess > 0:
+            free = vm & ~view.inner & ~ends & ~nbr[v] & ~(1 << v)
+            if sum(not nbr[ell] & ~vm & ~ws for ell in _bits(free)) < excess:
+                return None
     out: list[tuple[Solution, TypeIII]] = []
     _consider(g, view.mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
     return out[0]
@@ -444,9 +466,10 @@ def _moves(
     """Every move from x, a solution of two or more edges, repeats and x
     itself included: Type I, then II, then III, each internally
     deterministic, all reading one :class:`_View` of x and sharing
-    ``cache``.  With ``limit`` given, Types I and II leave out candidates
-    that provably minimalize to more than ``limit`` edges
-    (:func:`_growth_bound`, once, in :func:`_view`)."""
+    ``cache``.  With ``limit`` given, the moves leave out candidates that
+    provably minimalize to more than ``limit`` edges: Types I and II by
+    :func:`_growth_bound`, once, in :func:`_view`, and Type III by the
+    leaves its candidate can shed (:func:`type3_neighbor`)."""
     view = _view(g, x, limit)
     out: list[tuple[Solution, Provenance]] = []
     out += type1_neighbors(g, view, cache)
@@ -488,7 +511,8 @@ def all_neighbors(
     candidate holds every edge of x but e and spans V(x) + z, so its mask
     fixes (e, z): every move that builds the same mask again is skipped, and
     no kept move finds in the cache a candidate that only a skipped one
-    would have put there.
+    would have put there.  Type III runs last, and its candidates lack
+    distinct edges of x, so skipping one changes no other candidate.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the

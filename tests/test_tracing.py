@@ -75,8 +75,8 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     CEDS-tested.  Unbounded, Type I builds 147 distinct trees from its 155
     distinct candidate masks, and Type II 104.  Once the heap has a bound,
     the moves skip the candidates that provably minimalize above it, 5 of
-    Type I and 5 of Type II here, so 142, 99 and 69 candidates are
-    minimalized, and the seed once more.  The start is asserted in the
+    Type I, 5 of Type II and 10 of Type III here, so 142, 99 and 59
+    candidates are minimalized, and the seed once more.  The start is asserted in the
     traversal itself, outside the ``ceds.self_check`` span, so the span
     counts the 48 inserted masks of the 132 batch items: ``all_neighbors``
     also leaves out every solution at or above the bound, unchecked."""
@@ -88,12 +88,12 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     counts = {
         "neighbors.candidates.type1": 142,
         "neighbors.candidates.type2": 99,
-        "neighbors.candidates.type3": 69,
+        "neighbors.candidates.type3": 59,
         "neighbors.cache_hits": 0,
         "neighbors.batch_items": 132,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 142 + 99 + 69 + 1
+    assert tracer.calls["ceds.minimalize"] == 142 + 99 + 59 + 1
     assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 48
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
