@@ -1,11 +1,16 @@
 """Approximate minimum CEDS used to seed k-best enumeration.
 
-The construction: internal vertices of a depth-first search tree form a
-connected vertex cover (Savage's bound), so the tree without its pendant
-edges is a CEDS.  The seed is ``_spanning_tree_mask(g, all edges)`` minus the
-pendant edge at every leaf other than the root, minimalized.  The reported
-ratio bound divides the seed size by a cheap combinatorial lower bound on
-the optimum; tests compare against the brute-force optimum as well.
+The construction rests on Savage's bound (Savage 1982, IPL 14): the
+internal vertices of *any* depth-first search tree form a connected vertex
+cover at most twice the minimum.  Every edge of G joins an ancestor to a
+descendant of the tree, and the ancestor is internal or the root, so the
+tree without the pendant edge at each leaf other than the root is a CEDS.
+Each root and neighbour order gives a seed with the same certificate, so
+the seed is the smallest of several: one tree from every root, plus the
+tree ``_spanning_tree_mask(g, all edges)``, each pruned that way and then
+minimalized.  The reported ratio bound divides the seed size by a cheap
+combinatorial lower bound on the optimum; tests compare against the
+brute-force optimum as well.
 """
 
 from __future__ import annotations
@@ -43,22 +48,56 @@ def _lower_bound(g: Graph) -> int:
     return max(2, matching - 1, by_degree - 1)
 
 
+def _dfs_tree(adjacency: list[list[tuple[int, int]]], root: int) -> int:
+    """Edge mask of the depth-first search tree from ``root`` that takes
+    each vertex's (neighbour, edge) pairs in the order ``adjacency`` lists
+    them.  A vertex's list resumes where it stopped once its child is
+    done, so every non-tree edge joins an ancestor to a descendant."""
+    seen = 1 << root
+    tree = 0
+    stack = [iter(adjacency[root])]
+    while stack:
+        for w, h in stack[-1]:
+            if not seen >> w & 1:
+                seen |= 1 << w
+                tree |= 1 << h
+                stack.append(iter(adjacency[w]))
+                break
+        else:
+            stack.pop()
+    return tree
+
+
+def _without_leaf_edges(g: Graph, tree: int, root: int) -> int:
+    """``tree`` without the pendant edge at each leaf other than ``root``."""
+    vm, inner = _vertex_degree_masks(g, tree)
+    for w in _bits(vm & ~inner & ~(1 << root)):
+        tree &= ~g.incident_mask[w]
+    return tree
+
+
 def approx_min_ceds(g: Graph) -> SeedReport:
     """Deterministic seed solution for a graph with no single-edge CEDS.
 
-    The tree is ``_spanning_tree_mask(g, all edges)``: a depth-first search
-    from vertex 0 exploring incident edges in ascending index order.  The
-    pendant edge at each leaf other than vertex 0 is dropped; the edges left
-    span the internal vertices, form a CEDS, and are then minimalized.
+    The candidate trees are a depth-first search from every root, taking
+    neighbours by descending degree and then ascending edge index, and
+    ``_spanning_tree_mask(g, all edges)``: the search from vertex 0 in
+    ascending edge index order, which was the only tree before, so the
+    seed is never larger than that tree gives.  Each tree loses the
+    pendant edge at every leaf other than its root; the edges left span
+    its internal vertices and the root, form a CEDS, and are minimalized.
+    The seed is the smallest result in :class:`Solution` order (size, then
+    the ascending edge-index key), so ties go to the lowest key.  The n
+    searches and minimalizations cost O(n (n + m)) in all.
     """
     if min_ceds_is_singleton(g) is not None:
         raise ValueError("trivial instance: all solutions come from enumerate_trivial")
-    tree = _spanning_tree_mask(g, g.all_edges_mask)
-    vm, inner = _vertex_degree_masks(g, tree)
-    for w in _bits(vm & ~inner & ~1):
-        tree &= ~g.incident_mask[w]
+    deg = g.degrees
+    by_degree = [sorted(adj, key=lambda wh: (-deg[wh[0]], wh[1])) for adj in g.adjacency]
+    pruned = {_without_leaf_edges(g, _spanning_tree_mask(g, g.all_edges_mask), 0)}
+    pruned.update(_without_leaf_edges(g, _dfs_tree(by_degree, r), r) for r in range(g.n))
     # a depth-1 DFS tree would leave nothing, but that means the
     # graph is a star, which is trivial and was rejected above
-    sol = minimalize(g, tree)
+    sol = min(minimalize(g, tree) for tree in pruned)
     lb = _lower_bound(g)
     return SeedReport(sol, lb, Fraction(sol.size, lb))

@@ -6,9 +6,9 @@ from __future__ import annotations
 import heapq
 
 from cedsenum.approx import approx_min_ceds
-from cedsenum.ceds import enumerate_trivial, min_ceds_is_singleton
+from cedsenum.ceds import Solution, enumerate_trivial, min_ceds_is_singleton, minimalize
 from cedsenum.enumeration import EnumerationStats, InsertHook, Sink
-from cedsenum.graph import Graph, _bits
+from cedsenum.graph import Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
 from cedsenum.neighbors import all_neighbors
 
 
@@ -30,6 +30,18 @@ def dominated_mask(g: Graph, mask: int) -> int:
     for e in _bits(mask):
         covered |= g.dominator_mask[e]
     return covered
+
+
+def single_dfs_seed(g: Graph) -> Solution:
+    """The seed as ``approx_min_ceds`` built it from one tree alone:
+    ``_spanning_tree_mask(g, all edges)``, a depth-first search from vertex
+    0 in ascending edge index order, without the pendant edge at each leaf
+    other than vertex 0, minimalized."""
+    tree = _spanning_tree_mask(g, g.all_edges_mask)
+    vm, inner = _vertex_degree_masks(g, tree)
+    for w in _bits(vm & ~inner & ~1):
+        tree &= ~g.incident_mask[w]
+    return minimalize(g, tree)
 
 
 def kbest_untrimmed(g: Graph, k: int, sink: Sink, on_insert: InsertHook) -> EnumerationStats:

@@ -16,6 +16,7 @@ from cedsenum import (
     min_ceds_is_singleton,
 )
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
+from reference import single_dfs_seed
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -57,7 +58,9 @@ def test_seed_is_deterministic(c5):
 def test_seed_digest_is_pinned():
     """The seed masks of every non-trivial corpus graph and of the k-best
     benchmark instance, in order.  A change to the seed construction that
-    is meant to change seeds re-records the digest on purpose."""
+    is meant to change seeds re-records the digest on purpose; it was
+    last re-recorded when the seed became the smallest over a DFS tree
+    from every root."""
     h = hashlib.sha256()
     seeded = 0
     for g in [*tiny_corpus(), *random_corpus(), random_connected_graph(30, 0.15, 5)]:
@@ -65,8 +68,21 @@ def test_seed_digest_is_pinned():
             h.update(f"{approx_min_ceds(g).solution.mask:x}\n".encode())
             seeded += 1
     assert (seeded, h.hexdigest()) == (
-        703, "a40dc6af9eae8509468804223df8f69f4aa560bf0170b9b42eadce4c12f634bb"
+        703, "08e3548da0ecfc4f08cd41b06ba6e7999e964cdb8bf8faa76c22a67835fefe35"
     )
+
+
+def test_seed_is_never_larger_than_the_single_dfs_seed():
+    """The seed is the smallest over a DFS tree from every root and the one
+    tree it was once built from alone, so it is never larger than that
+    tree's seed, and on the k-best benchmark instance it is smaller."""
+    sizes = []
+    for g in [*tiny_corpus(), *random_corpus(), random_connected_graph(30, 0.15, 5)]:
+        if min_ceds_is_singleton(g) is None:
+            sizes.append((approx_min_ceds(g).solution.size, single_dfs_seed(g).size))
+    assert len(sizes) == 703
+    assert all(new <= old for new, old in sizes)
+    assert sizes[-1] == (16, 22)
 
 
 def test_trivial_instances_are_rejected(star3, triangle):

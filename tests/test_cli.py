@@ -168,8 +168,10 @@ def test_solution_lines_use_the_input_labels(labelled_file, capsys, monkeypatch)
         "TYPE2 e=1 path=0,3 -> 30-40 10-40\n"
         "TYPE2 e=2 path=3,0 -> 10-20 10-40\n"
     )
+    # the seed is the smallest minimalized DFS tree over every root, here
+    # the solution with the lowest key, so the two come in key order
     assert main(["kbest", labelled_file, "-k", "2", "--output", "solutions"]) == 0
-    assert capsys.readouterr().out == "20-30 30-40\n10-20 10-40\n"
+    assert capsys.readouterr().out == "10-20 10-40\n20-30 30-40\n"
 
     monkeypatch.setattr(
         oracle, "_strong_connectivity_witness", lambda snapshot: snapshot.nodes[:2]

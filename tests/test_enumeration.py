@@ -221,7 +221,9 @@ def _traced_lines(g, run, *args) -> list[str]:
 
 def test_output_order_matches_the_golden_digests():
     """Line count and SHA-256 of the output, in order, as the union-find and
-    degree-dict helpers produced it; a change of output order shows here."""
+    degree-dict helpers produced it; a change of output order shows here.
+    The k-best digest was re-recorded when the seed became the smallest
+    over a DFS tree from every root, which starts the run elsewhere."""
     g = random_connected_graph(10, 0.25, 4)
     assert _digest(_traced_lines(g, enumerate_all)) == (
         51, "50a341d3e3a1457cdd2ae9b59ffda695103030fd52a38f80afc7b04505d182bb"
@@ -230,7 +232,7 @@ def test_output_order_matches_the_golden_digests():
     lines = []
     enumerate_kbest(g, 20, lambda sol: lines.append(solution_line(g, sol)))
     assert _digest(lines) == (
-        20, "de2409668f581c890fc37aa8fd65110e3890ee048f1fe2c18d92140d33be7d39"
+        20, "228554db2d5b39d6c89bd09e43c583454e5d51f137be6143d57fc6fe9d2322f0"
     )
 
 
@@ -238,24 +240,26 @@ def test_scan_path_order_matches_the_golden_digest():
     """n > 14, so every domination test scans dominator masks rather than
     the vertex-cover table.  Recorded before the bitmask kernels, then
     again once a bounded run stopped keeping the solutions it can no
-    longer pop; the outputs alone are pinned by a digest recorded before
-    that."""
+    longer pop, and again when the seed became the smallest over a DFS
+    tree from every root; the outputs alone are pinned by a digest
+    recorded with that seed."""
     g = random_connected_graph(20, 0.2, 11)
     assert g.n > 14
     assert _digest(_traced_lines(g, enumerate_kbest, 20)) == (
-        322, "237568779b476b40b26e18d349ed71cce7d7707aa7b3e9adae284c3bf8db0004"
+        279, "618d999bb6e34f333c8882dc4b6d1b1657cd0b57d7a3ecbdcfcb50d8bd703bbf"
     )
 
 
 @pytest.mark.parametrize("args, k, expected", [
-    ((20, 0.2, 11), 20, (20, "81b1ee88f49074b8bd679b83e12c9a67a2c0cdbc8529fea55cf571219617c98e")),
-    ((30, 0.15, 5), 100, (100, "448fc182c492a4a0ca31e21db7b10f51786efd43a3998c6a90129d20055ce37e")),
+    ((20, 0.2, 11), 20, (20, "31d4276278063b016b932c919d567be9afd08f72dc85a4cfd11100fb97974c53")),
+    ((30, 0.15, 5), 100, (100, "6ee5f20aa80c0adf49794fc80372f862ff7321535c99a1c8ea653116df301053")),
 ])
 def test_kbest_outputs_match_the_golden_digests(args, k, expected):
     """The output lines alone, in order, of the two k-best instances that
     also have traced digests in this module; recorded before a bounded run
     stopped keeping the solutions it can no longer pop, which changes the
-    traces but must not change the outputs."""
+    traces but must not change the outputs, and re-recorded when the seed
+    became the smallest over a DFS tree from every root."""
     g = random_connected_graph(*args)
     lines: list[str] = []
     enumerate_kbest(g, k, lambda sol: lines.append(solution_line(g, sol)))
@@ -430,14 +434,15 @@ def test_kbest_prefixes_agree(seed):
 
 def test_benchmark_kbest_instance_matches_the_golden_digest():
     """k=100 on the benchmark's k-best instance, with every ``on_insert``
-    trace.  The heap is trimmed 18 times in this run, against 2 and 6 times
-    on the smaller golden k-best instances.  Recorded before the heap was
-    trimmed, then again once a bounded run stopped keeping the solutions it
-    can no longer pop, which keeps 2,679 of them; the outputs alone are
-    pinned by a digest recorded before that."""
+    trace.  Recorded before the heap was trimmed, then again once a bounded
+    run stopped keeping the solutions it can no longer pop, and again when
+    the seed became the smallest over a DFS tree from every root: the run
+    now starts from a 16-edge seed, the optimum, against 22 before, and
+    keeps 900 solutions, against 2,679.  The outputs alone are pinned by a
+    digest recorded with that seed."""
     g = random_connected_graph(30, 0.15, 5)
     assert _digest(_traced_lines(g, enumerate_kbest, 100)) == (
-        2779, "51095b26ac1692c75bbbb753399e3f4ea6d4d0ac485d1c5fc9cadb04f55d1ad0"
+        1000, "c2df2d459ff1ace37d2c9623c55481757d085632787abe1e4d0cc2599341ef76"
     )
 
 

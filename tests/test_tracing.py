@@ -72,28 +72,29 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     Each candidate is built once per expansion, as the tree the DFS would
     keep of it, so the cache is never hit, no DFS runs on the candidate
     path, and the moves build CEDS by construction, so no candidate is
-    CEDS-tested.  Unbounded, Type I builds 147 distinct trees from its 155
-    distinct candidate masks, and Type II 104.  Once the heap has a bound,
-    the moves skip the candidates that provably minimalize above it, 5 of
-    Type I, 5 of Type II and 10 of Type III here, so 142, 99 and 59
-    candidates are minimalized, and the seed once more.  The start is asserted in the
-    traversal itself, outside the ``ceds.self_check`` span, so the span
-    counts the 48 inserted masks of the 132 batch items: ``all_neighbors``
-    also leaves out every solution at or above the bound, unchecked."""
+    CEDS-tested.  Unbounded, the 19 expansions build 145 Type I, 106 Type
+    II and 70 Type III candidates.  Once the heap has a bound, the moves
+    skip the candidates that provably minimalize above it, 5 of Type I, 5
+    of Type II and 10 of Type III here, so 140, 101 and 60 candidates are
+    minimalized.  The seed minimalizes each of its 13 distinct pruned DFS
+    trees once.  The start is asserted in the traversal itself, outside
+    the ``ceds.self_check`` span, so the span counts the 44 inserted masks
+    of the 132 batch items: ``all_neighbors`` also leaves out every
+    solution at or above the bound, unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
         lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     )
     counts = {
-        "neighbors.candidates.type1": 142,
-        "neighbors.candidates.type2": 99,
-        "neighbors.candidates.type3": 59,
+        "neighbors.candidates.type1": 140,
+        "neighbors.candidates.type2": 101,
+        "neighbors.candidates.type3": 60,
         "neighbors.cache_hits": 0,
         "neighbors.batch_items": 132,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 142 + 99 + 59 + 1
-    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 48
+    assert tracer.calls["ceds.minimalize"] == 140 + 101 + 60 + 13
+    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 44
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
