@@ -57,18 +57,6 @@ def is_minimal_ceds_definitional(g: Graph, mask: int) -> bool:
     return all(not _contains_ceds_mask(g, mask ^ (1 << e)) for e in _bits(mask))
 
 
-def is_minimal_ceds_by_subsets(g: Graph, mask: int) -> bool:
-    """Fully naive minimality: check every proper nonempty subset."""
-    if not _is_ceds_mask(g, mask):
-        return False
-    sub = (mask - 1) & mask
-    while sub:
-        if _is_ceds_mask(g, sub):
-            return False
-        sub = (sub - 1) & mask
-    return True
-
-
 def brute_force_minimal_ceds(g: Graph, *, max_edges: int = ORACLE_EDGE_CAP) -> list[Solution]:
     """All minimal CEDS of g by pruned subset search; sorted by (size, key).
 
@@ -99,14 +87,6 @@ def brute_force_minimal_ceds(g: Graph, *, max_edges: int = ORACLE_EDGE_CAP) -> l
 
     rec(0, 0)
     return sorted(found)
-
-
-def brute_force_naive(g: Graph, *, max_edges: int = 14) -> list[Solution]:
-    """Unpruned cross-check of the oracle: filter all 2^m subsets."""
-    _require_scale(g, max_edges)
-    return sorted(
-        Solution(mask) for mask in range(1, 1 << g.m) if is_minimal_ceds_by_subsets(g, mask)
-    )
 
 
 # ---------------------------------------------------------------------------

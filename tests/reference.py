@@ -6,7 +6,9 @@ from __future__ import annotations
 import heapq
 
 from cedsenum.approx import approx_min_ceds
-from cedsenum.ceds import Solution, enumerate_trivial, min_ceds_is_singleton, minimalize
+from cedsenum.ceds import (
+    Solution, _is_ceds_mask, enumerate_trivial, min_ceds_is_singleton, minimalize,
+)
 from cedsenum.enumeration import EnumerationStats, InsertHook, Sink
 from cedsenum.graph import Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
 from cedsenum.neighbors import all_neighbors
@@ -42,6 +44,18 @@ def single_dfs_seed(g: Graph) -> Solution:
     for w in _bits(vm & ~inner & ~1):
         tree &= ~g.incident_mask[w]
     return minimalize(g, tree)
+
+
+def is_minimal_ceds_by_subsets(g: Graph, mask: int) -> bool:
+    """Fully naive minimality: check every proper nonempty subset."""
+    if not _is_ceds_mask(g, mask):
+        return False
+    sub = (mask - 1) & mask
+    while sub:
+        if _is_ceds_mask(g, sub):
+            return False
+        sub = (sub - 1) & mask
+    return True
 
 
 def kbest_untrimmed(g: Graph, k: int, sink: Sink, on_insert: InsertHook) -> EnumerationStats:
