@@ -7,10 +7,10 @@ descendant of the tree, and the ancestor is internal or the root, so the
 tree without the pendant edge at each leaf other than the root is a CEDS.
 Each root and neighbour order gives a seed with the same certificate, so
 the seed is the smallest of several: one tree from every root, plus the
-tree ``_spanning_tree_mask(g, all edges)``, each pruned that way and then
-minimalized.  The reported ratio bound divides the seed size by a cheap
-combinatorial lower bound on the optimum; tests compare against the
-brute-force optimum as well.
+search from vertex 0 in the order of ``g.adjacency``, each pruned that
+way and then minimalized.  The reported ratio bound divides the seed size
+by a cheap combinatorial lower bound on the optimum; tests compare against
+the brute-force optimum as well.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ceds import Solution, min_ceds_is_singleton, minimalize
-from .graph import Graph, _bits, _spanning_tree_mask, _vertex_degree_masks
+from .graph import Graph, _bits, _vertex_degree_masks
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,13 @@ def approx_min_ceds(g: Graph) -> SeedReport:
     """Deterministic seed solution for a graph with no single-edge CEDS.
 
     The candidate trees are a depth-first search from every root, taking
-    neighbours by descending degree and then ascending edge index, and
-    ``_spanning_tree_mask(g, all edges)``: the search from vertex 0 in
-    ascending edge index order, which was the only tree before, so the
-    seed is never larger than that tree gives.  Each tree loses the
-    pendant edge at every leaf other than its root; the edges left span
-    its internal vertices and the root, form a CEDS, and are minimalized.
+    neighbours by descending degree and then ascending edge index, and the
+    search from vertex 0 in the order of ``g.adjacency``, ascending edge
+    index: the tree ``_spanning_tree_mask(g, all edges)`` gives, which was
+    the only tree before, so the seed is never larger than it gives.  Each
+    tree loses the pendant edge at every leaf other than its root; the
+    edges left span its internal vertices and the root, form a CEDS, and
+    are minimalized.
     The seed is the smallest result in :class:`Solution` order (size, then
     the ascending edge-index key), so ties go to the lowest key.  The n
     searches and minimalizations cost O(n (n + m)) in all.
@@ -94,7 +95,7 @@ def approx_min_ceds(g: Graph) -> SeedReport:
         raise ValueError("trivial instance: all solutions come from enumerate_trivial")
     deg = g.degrees
     by_degree = [sorted(adj, key=lambda wh: (-deg[wh[0]], wh[1])) for adj in g.adjacency]
-    pruned = {_without_leaf_edges(g, _spanning_tree_mask(g, g.all_edges_mask), 0)}
+    pruned = {_without_leaf_edges(g, _dfs_tree(g.adjacency, 0), 0)}
     pruned.update(_without_leaf_edges(g, _dfs_tree(by_degree, r), r) for r in range(g.n))
     # a depth-1 DFS tree would leave nothing, but that means the
     # graph is a star, which is trivial and was rejected above

@@ -97,37 +97,33 @@ def is_minimal_ceds(g: Graph, mask: int) -> bool:
     return _is_connected_mask(g, mask)
 
 
-def _minimalize_mask(g: Graph, mask: int) -> int:
-    """Prune a CEDS mask to a minimal one; assumes the input is a CEDS.
+def _minimalize_mask(g: Graph, tree: int) -> int:
+    """Prune a CEDS tree to a minimal CEDS; assumes the input is one.
 
-    Every neighbor move builds its candidates as CEDS trees (see
-    :func:`cedsenum.neighbors._consider`), so the precondition holds by
-    construction and is not tested here.  A connected mask with one edge
-    fewer than it has vertices is already a tree, and the only spanning
-    tree of a tree is itself, so the DFS is run only on masks with a cycle,
-    which only :func:`minimalize` passes.  The shortcut relies on the
-    precondition: a disconnected mask can meet the same count.
+    Only trees come in.  Every neighbor move builds its candidates as CEDS
+    trees (see :func:`cedsenum.neighbors._consider`), and :func:`minimalize`,
+    the one caller whose mask can hold a cycle, passes the spanning tree
+    the DFS keeps of it.  So neither precondition is tested here.
 
-    The pendant edges of the tree T are then tried smallest first.  The
-    edge at leaf ``ell`` stays iff ``ell`` has a neighbour outside V(T), the
-    exact private-edge test of :func:`is_minimal_ceds`; otherwise it is
-    removed and ``ell`` leaves V(T).  V(T) only shrinks, so a private edge
-    survives later removals, and one OR (:func:`_outside_reach`) settles
-    every leaf that has one before the loop starts.  A removal never makes
-    a new leaf removable: the vertex it exposes keeps the edge back to
-    ``ell``, which now lies outside V(T) for good, as a private edge.  So
-    only the input tree's unsettled leaves can go, and one pass over their
-    pendant edges in ascending order suffices.  Each is tested again when
-    its turn comes, since an earlier removal can give it a private edge,
-    and a lone edge is never removed.
+    The pendant edges of the tree T are tried smallest first.  The edge at
+    leaf ``ell`` stays iff ``ell`` has a neighbour outside V(T), the exact
+    private-edge test of :func:`is_minimal_ceds`; otherwise it is removed
+    and ``ell`` leaves V(T).  V(T) only shrinks, so a private edge survives
+    later removals, and one OR (:func:`_outside_reach`) settles every leaf
+    that has one before the loop starts.  A removal never makes a new leaf
+    removable: the vertex it exposes keeps the edge back to ``ell``, which
+    now lies outside V(T) for good, as a private edge.  So only the input
+    tree's unsettled leaves can go, and one pass over their pendant edges
+    in ascending order suffices.  Each is tested again when its turn
+    comes, since an earlier removal can give it a private edge, and a lone
+    edge is never removed.
+
+    Taking only trees loses nothing: a set with a cycle minimalizes as its
+    DFS spanning tree T does, since T keeps every vertex of the set, so
+    V(T), and with it every leaf test below, is the set's own.
     """
     inc, nbr = g.incident_mask, g.neighbor_vmask
-    vm, inner = _vertex_degree_masks(g, mask)
-    if mask.bit_count() == vm.bit_count() - 1:
-        tree = mask
-    else:
-        tree = _spanning_tree_mask(g, mask)
-        inner = _vertex_degree_masks(g, tree)[1]
+    vm, inner = _vertex_degree_masks(g, tree)
     leaves = vm & ~inner & ~_outside_reach(g, vm)
     if not leaves:
         return tree
@@ -154,12 +150,16 @@ def minimalize(g: Graph, mask: int) -> Solution:
 
     Takes the canonical spanning tree of G[mask], then removes, in ascending
     edge order, each pendant edge of that tree whose leaf has no private
-    edge (see :func:`_minimalize_mask`).  Raises :class:`NotCedsError` if
-    the mask is not a CEDS.
+    edge (see :func:`_minimalize_mask`).  A tree is its own spanning tree,
+    so the DFS runs only on a mask with a cycle, as from
+    :func:`cedsenum.enumeration.initial_solution`.  Raises
+    :class:`NotCedsError` if the mask is not a CEDS.
     """
     _check_mask(g, mask)
     if not _is_ceds_mask(g, mask):
         raise NotCedsError(f"not a connected edge dominating set: edges {list(_bits(mask))}")
+    if mask.bit_count() != _vertex_degree_masks(g, mask)[0].bit_count() - 1:
+        mask = _spanning_tree_mask(g, mask)
     return Solution(_minimalize_mask(g, mask))
 
 

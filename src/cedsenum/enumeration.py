@@ -139,7 +139,7 @@ def _run(
 
     if min_ceds_is_singleton(g) is not None:
         sols = enumerate_trivial(g)
-        if kbest and k is not None:
+        if k is not None:
             sols = sols[:k]
         # the closed form records each solution as it is emitted, so the
         # guard trips once N are out and another remains; no visited set
@@ -175,7 +175,7 @@ def _run(
     while heap or queue:
         sol = heapq.heappop(heap) if kbest else queue.popleft()
         emit(sol)
-        if kbest and k is not None and stats.outputs >= k:
+        if k is not None and stats.outputs >= k:
             break
         stats.expansions += 1
         if neighbor_cache is None:

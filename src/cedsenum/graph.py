@@ -323,23 +323,6 @@ def _is_connected_mask(g: Graph, mask: int) -> bool:
     return mask != 0 and not rest
 
 
-def _pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
-    """(edge, pendant vertex) for each pendant edge of G[mask], ascending.
-
-    The pendant vertices are the leaves of :func:`_vertex_degree_masks`.
-    An isolated edge has two leaves and reports its smaller endpoint.
-    """
-    vm, inner = _vertex_degree_masks(g, mask)
-    leaves = vm & ~inner
-    edge_vmask = g.edge_vmask
-    out = []
-    for e in _bits(mask):
-        lv = edge_vmask[e] & leaves
-        if lv:
-            out.append((e, (lv & -lv).bit_length() - 1))
-    return out
-
-
 def _spanning_tree_mask(g: Graph, mask: int) -> int:
     """DFS spanning tree of G[mask] from its smallest vertex, taking incident
     edges in ascending index order; raises NotConnectedError.

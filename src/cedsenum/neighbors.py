@@ -17,7 +17,6 @@ from .graph import (
     Graph,
     _bits,
     _component_mask,
-    _pendant_items,
     _vertex_degree_masks,
     _vertices_mask,
 )
@@ -117,31 +116,37 @@ def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
 
 
 def _view(g: Graph, x: Solution, limit: int | None = None) -> _View:
-    mask = x.mask
+    mask, inc = x.mask, g.incident_mask
     vm, inner = _vertex_degree_masks(g, mask)
+    # x has two or more edges, so no edge has two leaves
+    pendants = sorted(((inc[ell] & mask).bit_length() - 1, ell) for ell in _bits(vm & ~inner))
     r = (vm & -vm).bit_length() - 1
     return _View(
-        mask, vm, inner, _pendant_items(g, mask), *_touch_within(g.incident_mask, vm),
+        mask, vm, inner, pendants, *_touch_within(inc, vm),
         r, *_rooted(g, mask, r), limit, *_growth_bound(g, mask, vm, limit),
     )
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
-    """Minimalize a candidate tree and append (Solution, prov).  ``cache``
-    maps each candidate tree to its Solution; the moves of one expansion
-    share it.
+    """Minimalize a candidate tree, store its Solution in ``cache`` and
+    append (Solution, prov).  The moves of one expansion share ``cache``.
 
     Every candidate is a tree.  Types I and II break the one cycle a
     candidate can hold where they build it, at the edge the spanning-tree
     DFS would leave out (:func:`_dfs_cut`), so :func:`_minimalize_mask`
-    takes its tree branch and returns what it returns for the candidate
-    with its cycle.  Types I and II call this only for a tree not yet in
-    ``cache``.  A tree in ``cache`` already has its Solution earlier in the
-    same expansion, so :func:`all_neighbors` would drop the repeat and keep
-    the earlier provenance; skipping it where it is built leaves every
-    batch as it was.  Type III builds one candidate per pendant edge and
-    calls it unconditionally.  :func:`_moves` runs the three with one
-    ``cache`` per expansion.
+    returns what :func:`minimalize` returns for the candidate with its
+    cycle.
+
+    No tree comes here twice in one expansion, so none is looked up.
+    Types I and II test ``cache`` first: a tree there has its Solution
+    earlier in the expansion, so :func:`all_neighbors` would drop the
+    repeat and keep the earlier provenance, and skipping it leaves every
+    batch as it was.  Type III's candidate for the pendant edge e, with
+    leaf v, holds neither e nor any edge at v (F joins W to V(x) - v), and
+    every other candidate holds one of them.  Each holds e before its
+    cycle is broken, except a Type II candidate of e, whose path edge at v
+    lies on no cycle; and a cycle through e passes through v, which keeps
+    its other cycle edge when the cycle is broken.
 
     Every candidate is a CEDS by construction, so it is not tested; a tree
     left after breaking a cycle keeps every vertex and so is a CEDS too.
@@ -166,9 +171,8 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     :func:`all_neighbors` tests it and fails, as it does on every item of a
     direct call.
     """
-    if cand not in cache:
-        cache[cand] = Solution(_minimalize_mask(g, cand))
-    out.append((cache[cand], prov))
+    cache[cand] = sol = Solution(_minimalize_mask(g, cand))
+    out.append((sol, prov))
 
 
 def _rooted(g: Graph, mask: int, root: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -310,6 +314,7 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     out: list[tuple[Solution, TypeI]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
     mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
+    touch, within = view.touch, view.within
     need, lone, loose, two = view.need, view.lone, view.loose, view.two
     leaves = vm & ~inner
 
@@ -327,7 +332,9 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
         rest = mask ^ (1 << e)
         v0 = _vertices_mask(g, _component_mask(g, rest, (rest & -rest).bit_length() - 1))
         touch0, within0 = _touch_within(inc, v0)
-        touch1, within1 = _touch_within(inc, vm & ~v0)
+        # side 1 is V(x) - V0; an edge from V0 to it is within V(x), not V0
+        within1 = within & ~touch0
+        touch1 = touch & ~touch0 | within & touch0 & ~within0
         at_v = v0 >> r & 1  # on side 0, the DFS reaches a cycle through f
         fresh = edge_vmask[e] & two
         ends, fresh_loose = leaves | fresh, fresh & loose

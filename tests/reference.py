@@ -34,6 +34,21 @@ def dominated_mask(g: Graph, mask: int) -> int:
     return covered
 
 
+def pendant_items(g: Graph, mask: int) -> list[tuple[int, int]]:
+    """(edge, pendant vertex) for each pendant edge of G[mask], ascending,
+    for any mask.  The pendant vertices are the leaves of
+    ``_vertex_degree_masks``; an isolated edge has two leaves and reports
+    its smaller endpoint."""
+    vm, inner = _vertex_degree_masks(g, mask)
+    leaves = vm & ~inner
+    out = []
+    for e in _bits(mask):
+        lv = g.edge_vmask[e] & leaves
+        if lv:
+            out.append((e, (lv & -lv).bit_length() - 1))
+    return out
+
+
 def single_dfs_seed(g: Graph) -> Solution:
     """The seed as ``approx_min_ceds`` built it from one tree alone:
     ``_spanning_tree_mask(g, all edges)``, a depth-first search from vertex

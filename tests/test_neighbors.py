@@ -12,6 +12,7 @@ from cedsenum import (
     Graph,
     Solution,
     brute_force_minimal_ceds,
+    enumerate_all,
     enumerate_kbest,
     is_minimal_ceds,
     min_ceds_is_singleton,
@@ -22,7 +23,6 @@ from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.graph import (
     _bits,
     _component_mask,
-    _pendant_items,
     _spanning_tree_mask,
     _vertex_degree_masks,
     _vertices_mask,
@@ -32,7 +32,6 @@ from cedsenum.neighbors import (
     TypeI,
     TypeII,
     TypeIII,
-    _consider,
     _moves,
     _view,
     all_neighbors,
@@ -40,7 +39,7 @@ from cedsenum.neighbors import (
     type2_neighbors,
     type3_neighbor,
 )
-from reference import dominated_mask, private_mask
+from reference import dominated_mask, pendant_items, private_mask
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -156,6 +155,7 @@ def test_type3_w_set_is_the_private_edges_closed_form(c5, p5, c5_solution):
             continue
         for x in brute_force_minimal_ceds(g):
             view = _view(g, x)
+            assert view.pendants == pendant_items(g, x.mask)
             for e, v in view.pendants:
                 skipped, ws = _w_set_by_private_edges(g, x.mask, e, v)
                 assert _w_set_of_move(g, view, e, v) == (skipped, None if skipped else ws)
@@ -206,12 +206,18 @@ def test_type1_matches_the_full_edge_scan(n, seed):
 
 
 def _all_neighbors_building_every_pair(g, x):
-    """All moves from x, every Type I and Type II pair built and passed to
-    ``_consider`` whether its mask is cached or not (the loops before each
-    candidate was built once), every move read off the adjacency lists.
-    Returns the batch items and the cache."""
+    """All moves from x, every Type I and Type II pair built, cycle and
+    all, and minimalized unless its mask is cached (the loops before each
+    candidate was built once, as a tree), every move read off the
+    adjacency lists.  Returns the batch items and the cache."""
     cache: dict = {}
     raw: list = []
+
+    def consider(cand, prov):
+        if cand not in cache:
+            cache[cand] = minimalize(g, cand)
+        raw.append((cache[cand], prov))
+
     edge_vmask = g.edge_vmask
     mask = x.mask
     vm, inner = _vertex_degree_masks(g, mask)
@@ -233,18 +239,18 @@ def _all_neighbors_building_every_pair(g, x):
                 v = (fverts ^ inside).bit_length() - 1
                 for w, g2 in g.adjacency[v]:
                     if vj >> w & 1 or (g2 == f and vj >> v & 1):
-                        _consider(g, rest | (1 << f) | (1 << g2), TypeI(e, f, g2), raw, cache)
-    pendants = _pendant_items(g, mask)
+                        consider(rest | (1 << f) | (1 << g2), TypeI(e, f, g2))
+    pendants = pendant_items(g, mask)
     for e, v in pendants:
         rest = mask ^ (1 << e)
         rest_verts = vm ^ (1 << v)
         for z, h in g.adjacency[v]:
             if rest_verts >> z & 1:
-                _consider(g, rest | (1 << h), TypeII(e, (h,)), raw, cache)
+                consider(rest | (1 << h), TypeII(e, (h,)))
         for w, h1 in g.adjacency[v]:
             for z, h2 in g.adjacency[w]:
                 if h2 != h1 and z != v and rest_verts >> z & 1:
-                    _consider(g, rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)), raw, cache)
+                    consider(rest | (1 << h1) | (1 << h2), TypeII(e, (h1, h2)))
     for e, v in pendants:
         ws = g.neighbor_vmask[v] & ~vm
         if any(g.degrees[w] == 1 for w in _bits(ws)):
@@ -253,7 +259,7 @@ def _all_neighbors_building_every_pair(g, x):
         fmask = 0
         for w in _bits(ws):
             fmask |= 1 << next(h for z, h in g.adjacency[w] if rest_verts >> z & 1)
-        _consider(g, mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), raw, cache)
+        consider(mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))))
     seen = {x.mask}
     items = []
     for sol, prov in raw:
@@ -424,6 +430,37 @@ def test_every_batch_matches_the_golden_digest():
         82_196,
         "8c8fd0cf74ca7b0033d6b5cb7200b8e36d9d9523cc567a6a2a6a4529d850fe1f",
     )
+
+
+def test_no_candidate_is_considered_twice_in_one_expansion(monkeypatch):
+    """``_consider`` minimalizes and stores every candidate it is given,
+    with no cache test of its own.  That rests on its docstring's argument:
+    Types I and II test the cache before each call, and a Type III
+    candidate, which lacks its pendant edge e and every edge at the leaf
+    v, is never a tree built before it in the same expansion.  Every call
+    is checked on every batch of the non-trivial corpus graphs (unbounded,
+    through ``enumerate_all``), and on the golden k=20 and the ``kbest_n30``
+    instances, bounded through ``enumerate_kbest`` and unbounded from each
+    output."""
+    consider = neighbors._consider
+    calls = {TypeI: 0, TypeII: 0, TypeIII: 0}
+
+    def checked(g, cand, prov, out, cache):
+        assert cand not in cache, prov.trace()
+        calls[type(prov)] += 1
+        return consider(g, cand, prov, out, cache)
+
+    monkeypatch.setattr(neighbors, "_consider", checked)
+    for g in [*tiny_corpus(), *random_corpus(60)]:
+        if min_ceds_is_singleton(g) is None:
+            enumerate_all(g, lambda sol: None)
+    for (n, p, seed), k in (((14, 0.18, 8), 20), ((30, 0.15, 5), 100)):
+        g = random_connected_graph(n, p, seed)
+        outputs: list = []
+        enumerate_kbest(g, k, outputs.append)
+        for x in outputs:
+            all_neighbors(g, x)
+    assert all(calls.values()), calls
 
 
 def _bounded_batch_skips(g, x, below):

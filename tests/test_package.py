@@ -58,3 +58,30 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    """Every module-level ``_``-prefixed function of the package is read on
+    some line of ``src/`` other than its own ``def``: in its own module or
+    in another one, an import alone not counting.  A helper that only the
+    tests or the benchmark tracer keep alive shows up here."""
+    defined: dict[str, str] = {}
+    read: set[tuple[str, str, int]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                read.add((node.attr, path.name, node.lineno))
+    assert defined
+    unread = [
+        f"{where} {name}"
+        for name, where in defined.items()
+        if not any(n == name and f"{m}:{line}" != where for n, m, line in read)
+    ]
+    assert unread == []
