@@ -4,6 +4,7 @@ the package."""
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 from cedsenum.approx import approx_min_ceds
 from cedsenum.ceds import (
@@ -59,6 +60,29 @@ def single_dfs_seed(g: Graph) -> Solution:
     for w in _bits(vm & ~inner & ~1):
         tree &= ~g.incident_mask[w]
     return minimalize(g, tree)
+
+
+def root_paths_by_bfs(g: Graph, mask: int, root: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """For each vertex w of the tree ``mask``: the vertex mask of the path
+    from ``root`` to w and that path's edges, from the root down.  Read off
+    the parent pointers of a breadth-first search of the tree."""
+    parent: dict[int, tuple[int, int] | None] = {root: None}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w, h in g.adjacency[u]:
+            if mask >> h & 1 and w not in parent:
+                parent[w] = (u, h)
+                queue.append(w)
+    paths = {}
+    for w in parent:
+        vertices, edges, u = 1 << w, [], w
+        while parent[u] is not None:
+            u, h = parent[u]
+            vertices |= 1 << u
+            edges.append(h)
+        paths[w] = (vertices, tuple(reversed(edges)))
+    return paths
 
 
 def is_minimal_ceds_by_subsets(g: Graph, mask: int) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,7 +40,7 @@ from cedsenum.neighbors import (
     type2_neighbors,
     type3_neighbor,
 )
-from reference import dominated_mask, pendant_items, private_mask
+from reference import dominated_mask, pendant_items, private_mask, root_paths_by_bfs
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -303,6 +304,27 @@ def _trees_by_move(move, g, x):
     out = move(g, _view(g, x), cache)
     assert len(out) == len(cache)
     return {prov: tree for (_, prov), tree in zip(out, cache)}
+
+
+@given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10_000))
+@PROPERTY_SETTINGS
+def test_rooted_gives_each_vertex_its_root_path(n, seed):
+    """``_rooted`` against the parent pointers of a breadth-first search,
+    on a random tree of a random graph, from every vertex of the tree:
+    ``anc[w]`` is the vertex set of the path from the root to w, and
+    ``chain[w]`` is that path's edges in order.  A vertex off the tree
+    reads 0 and ()."""
+    g = random_connected_graph(n, 0.3, seed)
+    rng = random.Random(seed)
+    tree, seen = 0, 1 << rng.randrange(g.n)
+    for _ in range(rng.randint(1, g.n - 1)):
+        e = rng.choice([e for e in range(g.m) if (g.edge_vmask[e] & seen).bit_count() == 1])
+        tree |= 1 << e
+        seen |= g.edge_vmask[e]
+    for root in _bits(seen):
+        paths = root_paths_by_bfs(g, tree, root)
+        anc, chain = neighbors._rooted(g, tree, root)
+        assert list(zip(anc, chain)) == [paths.get(w, (0, ())) for w in range(g.n)]
 
 
 # edges 2 (3-4) and 3 (0-3) are the chord and the new edge of both cases
