@@ -3,8 +3,9 @@
 The construction rests on Savage's bound (Savage 1982, IPL 14): the
 internal vertices of *any* depth-first search tree form a connected vertex
 cover at most twice the minimum.  Every edge of G joins an ancestor to a
-descendant of the tree, and the ancestor is internal or the root, so the
-tree without the pendant edge at each leaf other than the root is a CEDS.
+descendant of the tree (:func:`cedsenum.graph._dfs_edges`), and the
+ancestor is internal or the root, so the tree without the pendant edge at
+each leaf other than the root is a CEDS.
 Each root and neighbour order gives a seed with the same certificate, so
 the seed is the smallest of several: one tree from every root, plus the
 search from vertex 0 in the order of ``g.adjacency``, each pruned that
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ceds import Solution, min_ceds_is_singleton, minimalize
-from .graph import Graph, _bits, _vertex_degree_masks
+from .graph import Graph, _bits, _dfs_edges, _spanning_tree_mask, _vertex_degree_masks
 
 
 @dataclass(frozen=True)
@@ -48,26 +49,6 @@ def _lower_bound(g: Graph) -> int:
     return max(2, matching - 1, by_degree - 1)
 
 
-def _dfs_tree(adjacency: list[list[tuple[int, int]]], root: int) -> int:
-    """Edge mask of the depth-first search tree from ``root`` that takes
-    each vertex's (neighbour, edge) pairs in the order ``adjacency`` lists
-    them.  A vertex's list resumes where it stopped once its child is
-    done, so every non-tree edge joins an ancestor to a descendant."""
-    seen = 1 << root
-    tree = 0
-    stack = [iter(adjacency[root])]
-    while stack:
-        for w, h in stack[-1]:
-            if not seen >> w & 1:
-                seen |= 1 << w
-                tree |= 1 << h
-                stack.append(iter(adjacency[w]))
-                break
-        else:
-            stack.pop()
-    return tree
-
-
 def _without_leaf_edges(g: Graph, tree: int, root: int) -> int:
     """``tree`` without the pendant edge at each leaf other than ``root``."""
     vm, inner = _vertex_degree_masks(g, tree)
@@ -79,11 +60,11 @@ def _without_leaf_edges(g: Graph, tree: int, root: int) -> int:
 def approx_min_ceds(g: Graph) -> SeedReport:
     """Deterministic seed solution for a graph with no single-edge CEDS.
 
-    The candidate trees are a depth-first search from every root, taking
-    neighbours by descending degree and then ascending edge index, and the
-    search from vertex 0 in the order of ``g.adjacency``, ascending edge
-    index: the tree ``_spanning_tree_mask(g, all edges)`` gives, which was
-    the only tree before, so the seed is never larger than it gives.  Each
+    The candidate trees are depth-first searches of G (:func:`_dfs_edges`):
+    one from every root, taking neighbours by descending degree and then
+    ascending edge index, and :func:`_spanning_tree_mask` of all edges, the
+    search from vertex 0 in ascending edge index order.  That last tree
+    was once the only one, so the seed is never larger than it was.  Each
     tree loses the pendant edge at every leaf other than its root; the
     edges left span its internal vertices and the root, form a CEDS, and
     are minimalized.
@@ -95,8 +76,10 @@ def approx_min_ceds(g: Graph) -> SeedReport:
         raise ValueError("trivial instance: all solutions come from enumerate_trivial")
     deg = g.degrees
     by_degree = [sorted(adj, key=lambda wh: (-deg[wh[0]], wh[1])) for adj in g.adjacency]
-    pruned = {_without_leaf_edges(g, _dfs_tree(g.adjacency, 0), 0)}
-    pruned.update(_without_leaf_edges(g, _dfs_tree(by_degree, r), r) for r in range(g.n))
+    pruned = {_without_leaf_edges(g, _spanning_tree_mask(g, g.all_edges_mask), 0)}
+    for r in range(g.n):
+        tree = sum(1 << h for *_, h in _dfs_edges(by_degree, r, g.all_edges_mask))
+        pruned.add(_without_leaf_edges(g, tree, r))
     # a depth-1 DFS tree would leave nothing, but that means the
     # graph is a star, which is trivial and was rejected above
     sol = min(minimalize(g, tree) for tree in pruned)

@@ -9,7 +9,7 @@ which keeps every downstream computation deterministic.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 
@@ -323,44 +323,42 @@ def _is_connected_mask(g: Graph, mask: int) -> bool:
     return mask != 0 and not rest
 
 
+def _dfs_edges(
+    adjacency: Sequence[Sequence[tuple[int, int]]], root: int, mask: int
+) -> Iterator[tuple[int, int, int]]:
+    """The tree edges (parent, child, edge) of a depth-first search of
+    G[mask] from ``root``, in the order the walk takes them.
+
+    Each vertex's (neighbour, edge) pairs are read in the order
+    ``adjacency`` lists them, skipping the edges outside ``mask``, and a
+    vertex's list resumes where it stopped once its child is done.  So
+    every edge of ``mask`` outside the tree joins an ancestor to a
+    descendant, and a parent comes out before its children.
+    """
+    seen = 1 << root
+    stack = [(root, iter(adjacency[root]))]
+    while stack:
+        u, pairs = stack[-1]
+        for w, h in pairs:
+            if mask >> h & 1 and not seen >> w & 1:
+                seen |= 1 << w
+                yield u, w, h
+                stack.append((w, iter(adjacency[w])))
+                break
+        else:
+            stack.pop()
+
+
 def _spanning_tree_mask(g: Graph, mask: int) -> int:
     """DFS spanning tree of G[mask] from its smallest vertex, taking incident
-    edges in ascending index order; raises NotConnectedError.
-
-    The walk reads only edges of ``mask``.  ``rest`` holds the edges of
-    ``mask`` with an unvisited endpoint: an edge leaves it once both its
-    endpoints are visited.  Each stack frame holds its vertex's edges in
-    ``mask`` at the time of the visit, and ``frame & rest`` are the ones
-    still untried that lead to an unvisited vertex, taken lowest first.
-    That is the order of ``g.adjacency``, so the tree is the one a walk
-    over the adjacency lists gives.  Once ``rest`` is empty every vertex
-    of ``mask`` is visited; an empty stack before that means G[mask] is
-    disconnected.
-    """
+    edges in ascending index order (:func:`_dfs_edges` over
+    ``g.adjacency``); raises NotConnectedError."""
     if not mask:
         raise NotConnectedError("empty edge set has no spanning tree")
-    inc, edge_vmask = g.incident_mask, g.edge_vmask
     vm = _vertices_mask(g, mask)
-    root = (vm & -vm).bit_length() - 1
-    visited = 1 << root
-    reached = inc[root]  # the edges with a visited endpoint
-    rest = mask
-    tree = 0
-    stack = [mask & reached]
-    while rest:
-        if not stack:
-            raise NotConnectedError("edge set induces a disconnected subgraph")
-        live = stack[-1] & rest
-        if not live:
-            stack.pop()
-            continue
-        low = live & -live
-        w = (edge_vmask[low.bit_length() - 1] & ~visited).bit_length() - 1
-        visited |= 1 << w
-        tree |= low
-        rest &= ~(inc[w] & reached)
-        reached |= inc[w]
-        stack.append(inc[w] & rest)
+    tree = sum(1 << h for *_, h in _dfs_edges(g.adjacency, (vm & -vm).bit_length() - 1, mask))
+    if tree.bit_count() != vm.bit_count() - 1:
+        raise NotConnectedError("edge set induces a disconnected subgraph")
     return tree
 
 

@@ -17,6 +17,7 @@ from .graph import (
     Graph,
     _bits,
     _component_mask,
+    _dfs_edges,
     _vertex_degree_masks,
     _vertices_mask,
 )
@@ -78,8 +79,9 @@ class _View:
     V(x) and its inner vertices (degree two or more in x), its pendant
     items (edge, leaf) in ascending edge order, the edges with an endpoint
     in V(x) (``touch``) and with both there (``within``), x rooted at
-    r = min V(x) (:func:`_rooted`), the size bound ``limit`` (None when
-    unbounded) and its :func:`_growth_bound`.
+    r = min V(x) by the walk :func:`_spanning_tree_mask` takes
+    (:func:`_rooted`), the size bound ``limit`` (None when unbounded) and
+    its :func:`_growth_bound`.
 
     The moves read the edges that rejoin a vertex to x off these masks: the
     set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
@@ -179,18 +181,15 @@ def _rooted(g: Graph, mask: int, root: int) -> tuple[list[int], list[tuple[int, 
     """The tree ``mask`` rooted at ``root``: for each vertex of it, the
     vertex mask of its ancestors (itself included) and the edges of the
     path from the root down to it, the last one its parent edge.  Vertices
-    outside the tree read 0 and ()."""
+    outside the tree read 0 and ().  A tree has one path to each vertex,
+    so any walk gives them; :func:`_dfs_edges` hands out each parent before
+    its children."""
     anc = [0] * g.n
     chain: list[tuple[int, ...]] = [()] * g.n
     anc[root] = 1 << root
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w, h in g.adjacency[u]:
-            if mask >> h & 1 and not anc[w]:
-                anc[w] = anc[u] | 1 << w
-                chain[w] = chain[u] + (h,)
-                stack.append(w)
+    for u, w, h in _dfs_edges(g.adjacency, root, mask):
+        anc[w] = anc[u] | 1 << w
+        chain[w] = chain[u] + (h,)
     return anc, chain
 
 
@@ -199,7 +198,7 @@ def _dfs_cut(
 ) -> int:
     """The edge :func:`_spanning_tree_mask` leaves out of a tree plus the
     chord (a, b), with ``anc`` and ``chain`` from :func:`_rooted` at the
-    DFS root r.
+    DFS root r.  Both read :func:`_dfs_edges` over ``g.adjacency``.
 
     The cycle is the tree path from a to b and the chord.  Every path from
     r to the cycle enters it at one vertex c, so the walk reaches no other

@@ -15,9 +15,8 @@ from cedsenum import (
     is_minimal_ceds,
     min_ceds_is_singleton,
 )
-from cedsenum import approx
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
-from cedsenum.graph import _spanning_tree_mask
+from cedsenum.graph import _dfs_edges, _spanning_tree_mask
 from reference import single_dfs_seed
 
 PROPERTY_SETTINGS = settings(
@@ -77,18 +76,47 @@ def test_seed_digest_is_pinned():
 def test_seed_is_never_larger_than_the_single_dfs_seed():
     """The seed is the smallest over a DFS tree from every root and the one
     tree it was once built from alone, so it is never larger than that
-    tree's seed, and on the k-best benchmark instance it is smaller.  The
-    seed builds that tree as ``_dfs_tree(g.adjacency, 0)``, which is the
-    tree ``_spanning_tree_mask`` keeps of all edges: both walk from vertex
-    0 in ascending edge order."""
+    tree's seed, and on the k-best benchmark instance it is smaller.  That
+    tree is ``_spanning_tree_mask`` of all edges, the tree edges of
+    ``_dfs_edges`` from vertex 0 over ``g.adjacency``: ascending edge
+    order."""
     sizes = []
     for g in [*tiny_corpus(), *random_corpus(), random_connected_graph(30, 0.15, 5)]:
         if min_ceds_is_singleton(g) is None:
-            assert approx._dfs_tree(g.adjacency, 0) == _spanning_tree_mask(g, g.all_edges_mask)
+            walk = _dfs_edges(g.adjacency, 0, g.all_edges_mask)
+            assert sum(1 << h for *_, h in walk) == _spanning_tree_mask(g, g.all_edges_mask)
             sizes.append((approx_min_ceds(g).solution.size, single_dfs_seed(g).size))
     assert len(sizes) == 703
     assert all(new <= old for new, old in sizes)
     assert sizes[-1] == (16, 22)
+
+
+def test_every_edge_off_a_dfs_tree_joins_an_ancestor_to_a_descendant():
+    """Savage's precondition, on which the seed's CEDS and its certificate
+    rest: every edge outside a depth-first search tree joins an ancestor
+    to a descendant.  Checked for the walk from every root, over both
+    neighbour orders ``approx_min_ceds`` uses (``g.adjacency``, and
+    descending degree then ascending edge index), on every non-trivial
+    corpus graph and both benchmark instances.  The walk hands out each
+    parent before its children and spans the graph."""
+    graphs = [*tiny_corpus(), *random_corpus()]
+    graphs += [random_connected_graph(14, 0.3, 3), random_connected_graph(30, 0.15, 5)]
+    graphs = [g for g in graphs if min_ceds_is_singleton(g) is None]
+    assert len(graphs) == 704
+    for g in graphs:
+        deg = g.degrees
+        by_degree = [sorted(adj, key=lambda wh: (-deg[wh[0]], wh[1])) for adj in g.adjacency]
+        for adjacency in (g.adjacency, by_degree):
+            for root in range(g.n):
+                anc = {root: 1 << root}  # each vertex's ancestors, itself included
+                tree = 0
+                for u, w, h in _dfs_edges(adjacency, root, g.all_edges_mask):
+                    assert u in anc and w not in anc and g.edge_vmask[h] == 1 << u | 1 << w
+                    anc[w] = anc[u] | 1 << w
+                    tree |= 1 << h
+                assert len(anc) == g.n
+                for h, (a, b) in enumerate(g.edges):
+                    assert tree >> h & 1 or anc[a] >> b & 1 or anc[b] >> a & 1
 
 
 def test_trivial_instances_are_rejected(star3, triangle):
