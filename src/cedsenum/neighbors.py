@@ -80,8 +80,8 @@ class _View:
     items (edge, leaf) in ascending edge order, the edges with an endpoint
     in V(x) (``touch``) and with both there (``within``), x rooted at
     r = min V(x) by the walk :func:`_spanning_tree_mask` takes
-    (:func:`_rooted`), the size bound ``limit`` (None when unbounded) and
-    its :func:`_growth_bound`.
+    (:func:`_rooted`), the bound ``below`` (None when unbounded) and its
+    :func:`_growth_bound`.
 
     The moves read the edges that rejoin a vertex to x off these masks: the
     set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
@@ -96,10 +96,11 @@ class _View:
     r: int
     anc: list[int]
     chain: list[tuple[int, ...]]
-    limit: int | None
+    below: Solution | None
     need: int
     lone: list[int]
     loose: int
+    loose_edges: int
     two: int
 
 
@@ -117,7 +118,7 @@ def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
     return touch, within
 
 
-def _view(g: Graph, x: Solution, limit: int | None = None) -> _View:
+def _view(g: Graph, x: Solution, below: Solution | None = None) -> _View:
     mask, inc = x.mask, g.incident_mask
     vm, inner = _vertex_degree_masks(g, mask)
     # x has two or more edges, so no edge has two leaves
@@ -125,7 +126,7 @@ def _view(g: Graph, x: Solution, limit: int | None = None) -> _View:
     r = (vm & -vm).bit_length() - 1
     return _View(
         mask, vm, inner, pendants, *_touch_within(inc, vm),
-        r, *_rooted(g, mask, r), limit, *_growth_bound(g, mask, vm, limit),
+        r, *_rooted(g, mask, r), below, *_growth_bound(g, mask, vm, below),
     )
 
 
@@ -221,40 +222,60 @@ def _dfs_cut(
 
 
 def _growth_bound(
-    g: Graph, mask: int, vm: int, limit: int | None
-) -> tuple[int, list[int], int, int]:
-    """What the moves need to skip the candidates that grow x (``mask``, on
-    ``vm``) by a vertex and provably minimalize to more than ``limit``
-    edges: (need, lone, loose, two), with need 0 when nothing can be
-    skipped.  :func:`_view` computes it once per expansion.
+    g: Graph, mask: int, vm: int, below: Solution | None
+) -> tuple[int, list[int], int, int, int]:
+    """What the moves need to skip the candidates that provably minimalize
+    to a solution at or above ``below`` when x (``mask``, on ``vm``) has at
+    least ``below.size`` edges: (need, lone, loose, loose_edges, two), with
+    need 0 when nothing can be skipped.  :func:`_view` computes it once per
+    expansion.  ``lone[z]`` holds the vertices of V(x) whose only neighbour
+    outside V(x) is z, ``loose`` those with none, ``loose_edges`` the edges
+    of x at a loose vertex and ``two`` the vertices of degree two in x.
 
-    Such a candidate c has |x| + 1 edges and V(c) = V(x) + z for one vertex
-    z outside V(x): a Type I x - e + f + g whose v lies outside V(x), or a
-    Type II x - e + h1 + h2 whose w does.  :func:`_minimalize_mask` removes
-    only leaves of its input tree that have no neighbour outside V(c), so c
-    minimalizes to at least |x| + 1 - |U+(e, z)| edges, where
+    :func:`_minimalize_mask` removes only pendant edges of the unsettled
+    leaves of its input tree, those without a neighbour outside it, and
+    removes the edge of a lone one.  So a candidate c with no unsettled
+    leaf is its own minimal form, and one with a single unsettled leaf
+    minimalizes to c without that leaf's edge.  Types I and II know the
+    unsettled leaves in two cases, and decide from the mask c alone,
+    reading the removed edges as ``x & ~c``.  A repeat of a skipped
+    candidate is then skipped too.
 
-        U+(e, z) = (leaves(x) & lone[z]) | (fresh(e) & (loose | lone[z]))
+    - c spans V(x), with |x| edges: a bridging or chord-broken Type I
+      tree, or a Type II one-edge path or rejoining two-edge path.  A leaf
+      of c is a leaf of x, which keeps a neighbour outside V(x) = V(c)
+      since x is minimal, or a vertex that lost an edge of x.  So an
+      unsettled leaf is a loose endpoint of an edge in ``x & ~c``, and c
+      minimalizes to itself when it keeps every edge of ``loose_edges``
+      (:func:`_spans_at_or_above`).
+    - c grows x by a vertex z outside V(x), with |x| + 1 edges: a Type I
+      x - e + f + g whose v lies outside V(x), or a Type II x - e + h1 + h2
+      whose w does.  A leaf of c in V(x) is either a leaf of x, or a
+      vertex of degree two in x that lost e; z has its two new edges and
+      is no leaf.  A leaf of the minimal x has no neighbour outside V(c)
+      only when z is its only one outside V(x); a fresh leaf has none when
+      it had none outside V(x), or only z.  So the unsettled leaves of c
+      lie in
 
-    over ``lone[z]``, the vertices of V(x) whose only neighbour outside V(x)
-    is z, ``loose``, those with none, and fresh(e), the endpoints of e with
-    degree two in x (``two``).  A leaf of c in V(x) is either a leaf of x,
-    or a vertex of degree two in x that lost e and gained nothing (z has
-    its two new edges and is no leaf).  A leaf of the minimal x has a
-    neighbour outside V(x), and it has none outside V(c) only when z is
-    the only one; a fresh leaf has none when it had none outside V(x), or
-    only z.  The moves skip every candidate of (e, z) when
-    ``|U+(e, z)| < need = |x| + 1 - limit``.
+          U+(e, z) = (leaves(x) & lone[z]) | (fresh(e) & (loose | lone[z]))
 
-    The pass over V(x) runs only when |x| >= limit: a candidate of at most
-    ``limit`` edges cannot minimalize to more.
+      with fresh(e) the endpoints of e in ``two``, and they are the
+      vertices of U+(e, z) that no added edge reaches, except the leaf v
+      of a Type II e, which lost e for h1 and is a leaf again
+      (:func:`_grows_at_or_above`).  U+(e, z) holds all of them, so every
+      candidate of (e, z) is skipped at once when
+      ``|U+(e, z)| < need = |x| + 1 - below.size``.
+
+    The pass over V(x) runs only when |x| >= ``below.size``.  With a
+    smaller x, only a candidate that grows x and sheds no leaf can end at
+    or above ``below``, and it is built.
     """
     size = mask.bit_count()
-    if limit is None or size < limit:
-        return 0, [], 0, 0
+    if below is None or size < below.size:
+        return 0, [], 0, 0, 0
     nbr, inc = g.neighbor_vmask, g.incident_mask
     lone = [0] * g.n
-    loose = two = 0
+    loose = loose_edges = two = 0
     rest = vm
     while rest:
         low = rest & -rest
@@ -262,12 +283,39 @@ def _growth_bound(
         out = nbr[u] & ~vm
         if not out:
             loose |= low
+            loose_edges |= inc[u] & mask
         elif not out & (out - 1):
             lone[out.bit_length() - 1] |= low
         if (inc[u] & mask).bit_count() == 2:
             two |= low
         rest ^= low
-    return size + 1 - limit, lone, loose, two
+    return size + 1 - below.size, lone, loose, loose_edges, two
+
+
+def _spans_at_or_above(view: _View, cand: int) -> bool:
+    """True when ``cand``, a candidate tree on V(x), keeps every edge of x
+    at a loose vertex, so it has no unsettled leaf and is its own minimal
+    form, and that form is not before ``view.below``
+    (:func:`_growth_bound`).  Call only with ``view.need`` set."""
+    return not view.loose_edges & ~cand and not Solution(cand) < view.below
+
+
+def _grows_at_or_above(
+    inc: tuple[int, ...], view: _View, cand: int, unsettled: int
+) -> bool:
+    """True when ``cand``, a candidate tree on V(x) + z with the unsettled
+    leaves ``unsettled`` (:func:`_growth_bound`), provably minimalizes to
+    a solution not before ``view.below``.  It sheds at most the edge at
+    each of them, so it keeps more than ``below.size`` edges when they are
+    fewer than ``view.need``; with exactly one, it sheds that one.  With
+    two or more, an earlier removal can give a later leaf a private edge,
+    so the candidate is built.  Call only with ``view.need`` set."""
+    count = unsettled.bit_count()
+    if count < view.need:
+        return True
+    if count > 1:
+        return False
+    return not Solution(cand ^ inc[unsettled.bit_length() - 1] & cand) < view.below
 
 
 def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
@@ -305,10 +353,12 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     candidate becomes the tree it would give (:func:`_dfs_cut`), read off
     the rooting in ``view``.
 
-    With ``limit`` given to :func:`_view`, an f whose v lies outside V(x) is
-    skipped with all its g when every x - e + f + g provably minimalizes to
-    more than ``limit`` edges (the view's :func:`_growth_bound`, z = v): e
-    is internal, so V(x - e) = V(x), and c is a tree on V(x) + v.
+    With ``below`` given to :func:`_view`, the moves skip each candidate
+    that provably minimalizes to a solution at or above it (the view's
+    :func:`_growth_bound`).  A tree x - e + f, or one broken at a chord,
+    spans V(x).  When v lies outside V(x), x - e + f + g spans V(x) + v,
+    since e is internal and V(x - e) = V(x), and the ends of f and g are
+    no leaves of it.
     """
     out: list[tuple[Solution, TypeI]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
@@ -320,7 +370,7 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
         a, b = edges[h]
         cand ^= 1 << _dfs_cut(anc, chain, v, a ^ b ^ v, h, at_v)
-        if cand not in cache:
+        if cand not in cache and not (need and _spans_at_or_above(view, cand)):
             _consider(g, cand, TypeI(e, f, h), out, cache)
 
     for e in _bits(mask):
@@ -341,18 +391,25 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
             v = (edge_vmask[f] & ~v0).bit_length() - 1
             base = rest | (1 << f)
             if not touch1 >> f & 1:  # v lies outside V(x)
-                if need and (ends & lone[v] | fresh_loose).bit_count() < need:
-                    continue
+                if need:
+                    grown = ends & lone[v] | fresh_loose
+                    if grown.bit_count() < need:
+                        continue
+                    grown &= ~edge_vmask[f]
                 for h in _bits(inc[v] & touch1):
-                    if base | (1 << h) not in cache:
-                        _consider(g, base | (1 << h), TypeI(e, f, h), out, cache)
+                    cand = base | (1 << h)
+                    if cand in cache:
+                        continue
+                    if need and _grows_at_or_above(inc, view, cand, grown & ~edge_vmask[h]):
+                        continue
+                    _consider(g, cand, TypeI(e, f, h), out, cache)
                 continue
             hs = inc[v] & within1
             trees = hs & rest | (1 << f)
             first = trees & -trees
             for h in _bits(hs & ~rest | first):
                 if first >> h & 1:
-                    if base not in cache:
+                    if base not in cache and not (need and _spans_at_or_above(view, base)):
                         _consider(g, base, TypeI(e, f, h), out, cache)
                 else:
                     chord(e, f, v, h, base | (1 << h), at_v)
@@ -385,10 +442,12 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     lowest common ancestor of w and z in x rooted at r; the candidate
     becomes the tree it would give, as in :func:`type1_neighbors`.
 
-    With ``limit`` given to :func:`_view`, an h1 whose w lies outside V(x)
-    is skipped with all its h2 when every x - e + h1 + h2 provably
-    minimalizes to more than ``limit`` edges (the view's
-    :func:`_growth_bound`, z = w): the leaf v is back, and c spans V(x) + w.
+    With ``below`` given to :func:`_view`, the moves skip each candidate
+    that provably minimalizes to a solution at or above it (the view's
+    :func:`_growth_bound`).  A one-edge path, and a two-edge path whose w
+    lies in V(x), give a tree on V(x).  When w lies outside V(x), the leaf
+    v is back and x - e + h1 + h2 spans V(x) + w; the ends of h2 are no
+    leaves of it.
     """
     out: list[tuple[Solution, TypeII]] = []
     edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
@@ -399,22 +458,32 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     for e, v in view.pendants:
         rest = mask ^ (1 << e)
         for h in _bits(inc[v] & within):
-            if rest | (1 << h) not in cache:
-                _consider(g, rest | (1 << h), TypeII(e, (h,)), out, cache)
+            cand = rest | (1 << h)
+            if cand not in cache and not (need and _spans_at_or_above(view, cand)):
+                _consider(g, cand, TypeII(e, (h,)), out, cache)
         chords = within & ~rest
         fresh = edge_vmask[e] & two
         ends, fresh_loose = leaves | fresh, fresh & loose
         for w, h1 in g.adjacency[v]:
             rejoins = vm >> w & 1  # h1 alone puts v back
-            if need and not rejoins and (ends & lone[w] | fresh_loose).bit_count() < need:
-                continue
+            if need and not rejoins:
+                grown = ends & lone[w] | fresh_loose
+                if grown.bit_count() < need:
+                    continue
             for h2 in _bits(inc[w] & (chords if rejoins else touch) & ~(1 << h1)):
                 cand = rest | (1 << h1) | (1 << h2)
                 if rejoins:
                     a, b = edges[h2]
                     cand ^= 1 << _dfs_cut(anc, chain, w, a ^ b ^ w, h2, v == r)
-                if cand not in cache:
-                    _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
+                if cand in cache:
+                    continue
+                if need and (
+                    _spans_at_or_above(view, cand)
+                    if rejoins
+                    else _grows_at_or_above(inc, view, cand, grown & ~edge_vmask[h2])
+                ):
+                    continue
+                _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
     return out
 
 
@@ -433,16 +502,17 @@ def type3_neighbor(
     degree 1 in G: every other edge (w, y) has y != v, x dominates it, and
     w lies outside V(x), so y lies in V(x) - v.
 
-    With ``limit`` given to :func:`_view`, None is also returned when the
-    candidate c = x - e + F provably minimalizes to more than ``limit``
-    edges.  c is a tree of |x| - 1 + |W| edges on V(x) - v + W, and
-    :func:`_minimalize_mask` removes only leaves of c without a neighbour
-    outside V(c), one edge each.  v lies outside V(c), so no vertex of
-    N(v) goes: not a w, which is a leaf of c, and not v's parent, which
-    keeps another edge of x.  Every other leaf of c is a leaf ell of x that
+    With ``below`` given to :func:`_view`, None is also returned when the
+    candidate c = x - e + F provably minimalizes to more than
+    ``below.size`` edges.  c is a tree of |x| - 1 + |W| edges on
+    V(x) - v + W, and :func:`_minimalize_mask` removes only leaves of c
+    without a neighbour outside V(c), one edge each.  v lies outside V(c),
+    so no vertex of N(v) goes: not a w, which is a leaf of c, and not v's
+    parent, which keeps another edge of x.  Every other leaf of c is a leaf ell of x that
     no edge of F reaches, and it can go only when N(ell) - V(x), nonempty
     since x is minimal, lies in W.  The move is skipped when fewer such
-    leaves are left than the |x| - 1 + |W| - limit edges c must shed.
+    leaves are left than the |x| - 1 + |W| - ``below.size`` edges c must
+    shed.
     """
     inc, nbr, edge_vmask = g.incident_mask, g.neighbor_vmask, g.edge_vmask
     vm, reach = view.vm, view.touch & ~inc[v]
@@ -455,8 +525,8 @@ def type3_neighbor(
         low = hs & -hs
         fmask |= low
         ends |= edge_vmask[low.bit_length() - 1]
-    if view.limit is not None:
-        excess = view.mask.bit_count() - 1 + ws.bit_count() - view.limit
+    if view.below is not None:
+        excess = view.mask.bit_count() - 1 + ws.bit_count() - view.below.size
         if excess > 0:
             free = vm & ~view.inner & ~ends & ~nbr[v] & ~(1 << v)
             if sum(not nbr[ell] & ~vm & ~ws for ell in _bits(free)) < excess:
@@ -467,16 +537,16 @@ def type3_neighbor(
 
 
 def _moves(
-    g: Graph, x: Solution, cache: dict, limit: int | None = None
+    g: Graph, x: Solution, cache: dict, below: Solution | None = None
 ) -> list[tuple[Solution, Provenance]]:
     """Every move from x, a solution of two or more edges, repeats and x
     itself included: Type I, then II, then III, each internally
     deterministic, all reading one :class:`_View` of x and sharing
-    ``cache``.  With ``limit`` given, the moves leave out candidates that
-    provably minimalize to more than ``limit`` edges: Types I and II by
-    :func:`_growth_bound`, once, in :func:`_view`, and Type III by the
-    leaves its candidate can shed (:func:`type3_neighbor`)."""
-    view = _view(g, x, limit)
+    ``cache``.  With ``below`` given, the moves leave out candidates that
+    provably minimalize to a solution at or above it: Types I and II by
+    what :func:`_growth_bound` computes once, in :func:`_view`, and Type
+    III by the leaves its candidate can shed (:func:`type3_neighbor`)."""
+    view = _view(g, x, below)
     out: list[tuple[Solution, Provenance]] = []
     out += type1_neighbors(g, view, cache)
     out += type2_neighbors(g, view, cache)
@@ -509,16 +579,17 @@ def all_neighbors(
     is dropped before the assert, so it is never checked.
 
     With ``below`` given, the moves do not even build the candidates that
-    provably minimalize to more than ``below.size`` edges (:func:`_moves`
-    with ``limit=below.size``).  The batch is still exactly the unbounded
-    batch without the solutions at or above ``below``, in the same order
-    and with the same provenance.  A skipped candidate's solution would
-    have been dropped, and so would every repeat of it.  A skipped
-    candidate holds every edge of x but e and spans V(x) + z, so its mask
-    fixes (e, z): every move that builds the same mask again is skipped, and
-    no kept move finds in the cache a candidate that only a skipped one
-    would have put there.  Type III runs last, and its candidates lack
-    distinct edges of x, so skipping one changes no other candidate.
+    provably minimalize to a solution at or above ``b = below``
+    (:func:`_moves` with ``below``).  The batch is still exactly the
+    unbounded batch without the solutions at or above ``b``, in the same
+    order and with the same provenance.  A skipped candidate's solution
+    would have been dropped, and so would every repeat of it.  Types I and
+    II decide from the candidate's mask alone (:func:`_growth_bound`), so
+    every move that builds a skipped mask again skips it too, and no kept
+    move finds in the cache a candidate that only a skipped one would have
+    put there: the bounded moves are the unbounded ones without every
+    build of the skipped masks.  Type III runs last, and its candidates
+    lack distinct edges of x, so skipping one changes no other candidate.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
@@ -526,7 +597,7 @@ def all_neighbors(
         return NeighborBatch([])
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
-    for sol, prov in _moves(g, x, {}, None if below is None else below.size):
+    for sol, prov in _moves(g, x, {}, below):
         if sol.mask not in seen:
             seen.add(sol.mask)
             if below is None or sol < below:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,7 @@ from cedsenum import (
     min_ceds_is_singleton,
 )
 from cedsenum import neighbors
-from cedsenum.ceds import _is_ceds_mask, minimalize
+from cedsenum.ceds import _is_ceds_mask, _minimalize_mask, minimalize
 from cedsenum.corpus import random_connected_graph, random_corpus, tiny_corpus
 from cedsenum.graph import (
     _bits,
@@ -488,13 +489,13 @@ def test_no_candidate_is_considered_twice_in_one_expansion(monkeypatch):
 def _bounded_batch_skips(g, x, below):
     """Check that ``below`` leaves the batch from x as the unbounded one
     without its solutions at or above ``below``, items, order and
-    provenance alike, and return the candidates the size bound skipped:
-    the unbounded moves without the bounded ones, which must be a
-    subsequence of them, each minimalizing to more than ``below.size``."""
+    provenance alike, and return the candidates the bound skipped: the
+    unbounded moves without the bounded ones, which must be a subsequence
+    of them, each minimalizing to a solution at or above ``below``."""
     full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x).items]
     got = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, below=below).items]
     assert got == [item for item in full if item[0] < below]
-    kept = iter([(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below.size)])
+    kept = iter([(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below)])
     nxt = next(kept, None)
     skipped = []
     for item in ((sol, prov.trace()) for sol, prov in _moves(g, x, {})):
@@ -503,7 +504,7 @@ def _bounded_batch_skips(g, x, below):
         else:
             skipped.append(item)
     assert nxt is None
-    assert all(sol.size > below.size for sol, _ in skipped)
+    assert not any(sol < below for sol, _ in skipped)
     return skipped
 
 
@@ -530,15 +531,83 @@ def test_a_size_bound_skips_only_what_below_drops(n, p, seed, data):
 
 def test_a_size_bound_skips_only_what_below_drops_on_the_scan_path():
     """The same check on the k-best scan-path instance (n = 20 > 14), for
-    ten solutions x of 10 to 12 edges against ten bounds each."""
+    ten solutions x of 10 to 12 edges against ten bounds each.  Some
+    skipped candidates minimalize to exactly ``below.size`` edges: the
+    moves skip by the full solution order, not by size alone.  Both order
+    predictions of :func:`_checked_predictions` are made and hold."""
     g = random_connected_graph(20, 0.2, 11)
     sols: list = []
     enumerate_kbest(g, 200, sols.append)
-    skipped = 0
+    skipped = []
+    made = {"spans": 0, "grows": 0}
     for x in sols[::20]:
         for below in sols[5::20]:
-            skipped += len(_bounded_batch_skips(g, x, below))
-    assert skipped > 0
+            skipped += [(sol, below) for sol, _ in _bounded_batch_skips(g, x, below)]
+            for kind, count in _checked_predictions(g, x, below).items():
+                made[kind] += count
+    assert any(sol.size == below.size for sol, below in skipped)
+    assert all(made.values()), made
+
+
+def _checked_predictions(g, x, below):
+    """Run the moves from x bounded by ``below`` and check every
+    minimalization the order skip predicts against
+    :func:`_minimalize_mask`; return how many it predicted of each kind.
+
+    A candidate on V(x) that keeps every edge of x at a loose vertex must
+    be its own minimal form.  For a candidate that grows x by a vertex, the
+    unsettled leaves the moves pass are exactly its leaves without a
+    neighbour outside it, and with at most one of them, it minimalizes to
+    itself without their edges."""
+    spans, grows = neighbors._spans_at_or_above, neighbors._grows_at_or_above
+    nbr = g.neighbor_vmask
+    made = {"spans": 0, "grows": 0}
+
+    def checked_spans(view, cand):
+        if not view.loose_edges & ~cand:
+            assert _minimalize_mask(g, cand) == cand
+            made["spans"] += 1
+        return spans(view, cand)
+
+    def checked_grows(inc, view, cand, unsettled):
+        vm = _vertices_mask(g, cand)
+        leaves = [
+            ell
+            for ell in _bits(vm)
+            if (inc[ell] & cand).bit_count() == 1 and not nbr[ell] & ~vm
+        ]
+        assert unsettled == sum(1 << ell for ell in leaves)
+        if len(leaves) <= 1:
+            assert _minimalize_mask(g, cand) == cand & ~sum(inc[ell] for ell in leaves)
+            made["grows"] += 1
+        return grows(inc, view, cand, unsettled)
+
+    with (
+        mock.patch.object(neighbors, "_spans_at_or_above", checked_spans),
+        mock.patch.object(neighbors, "_grows_at_or_above", checked_grows),
+    ):
+        _moves(g, x, {}, below)
+    return made
+
+
+@given(
+    st.integers(min_value=6, max_value=12),
+    st.sampled_from([0.25, 0.4, 0.6]),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+@PROPERTY_SETTINGS
+def test_the_order_skip_predicts_what_minimalize_returns(n, p, seed, data):
+    """x and ``below`` are drawn from the graph's solutions, ``below`` no
+    larger than x, the only bounds under which the moves predict."""
+    g = random_connected_graph(n, p, seed)
+    if min_ceds_is_singleton(g) is not None:
+        return
+    sols: list = []
+    enumerate_kbest(g, 100, sols.append)
+    x = data.draw(st.sampled_from(sols))
+    below = data.draw(st.sampled_from([s for s in sols if s.size <= x.size]))
+    _checked_predictions(g, x, below)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

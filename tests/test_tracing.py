@@ -78,10 +78,14 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     path, and the moves build CEDS by construction, so no candidate is
     CEDS-tested.  Unbounded, the 19 expansions build 145 Type I, 106 Type
     II and 70 Type III candidates.  Once the heap has a bound, the moves
-    skip the candidates that provably minimalize above it, 5 of Type I, 5
-    of Type II and 10 of Type III here, so 140, 101 and 60 candidates are
-    minimalized.  The seed minimalizes each of its 13 distinct pruned DFS
-    trees once.  The start is asserted in the traversal itself, outside
+    skip the candidates that provably minimalize to a solution at or above
+    it, 55 of Type I, 34 of Type II and 10 of Type III here, so 90, 72 and
+    60 candidates are minimalized.  Types I and II skip by the full
+    solution order: a size bound alone skipped 5 of each.  The skipped
+    solutions never reached a batch, so the batches, and the masks
+    self-checked, stay as they were.  The seed minimalizes each of its 13
+    distinct pruned DFS trees once.  The start is asserted in the
+    traversal itself, outside
     the ``ceds.self_check`` span, so the span counts the 44 inserted masks
     of the 132 batch items: ``all_neighbors`` also leaves out every
     solution at or above the bound, unchecked."""
@@ -91,14 +95,14 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
         lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     )
     counts = {
-        "neighbors.candidates.type1": 140,
-        "neighbors.candidates.type2": 101,
+        "neighbors.candidates.type1": 90,
+        "neighbors.candidates.type2": 72,
         "neighbors.candidates.type3": 60,
         "neighbors.cache_hits": 0,
         "neighbors.batch_items": 132,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 140 + 101 + 60 + 13
+    assert tracer.calls["ceds.minimalize"] == 90 + 72 + 60 + 13
     assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 44
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
