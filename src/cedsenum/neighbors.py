@@ -98,7 +98,7 @@ class _View:
     chain: list[tuple[int, ...]]
     below: Solution | None
     need: int
-    lone: list[int]
+    single: int
     loose: int
     loose_edges: int
     two: int
@@ -223,14 +223,15 @@ def _dfs_cut(
 
 def _growth_bound(
     g: Graph, mask: int, vm: int, below: Solution | None
-) -> tuple[int, list[int], int, int, int]:
-    """What the moves need to skip the candidates that provably minimalize
-    to a solution at or above ``below`` when x (``mask``, on ``vm``) has at
-    least ``below.size`` edges: (need, lone, loose, loose_edges, two), with
-    need 0 when nothing can be skipped.  :func:`_view` computes it once per
-    expansion.  ``lone[z]`` holds the vertices of V(x) whose only neighbour
-    outside V(x) is z, ``loose`` those with none, ``loose_edges`` the edges
-    of x at a loose vertex and ``two`` the vertices of degree two in x.
+) -> tuple[int, int, int, int, int]:
+    """What Types I and II need to skip the candidates that provably
+    minimalize to a solution at or above ``below`` when x (``mask``, on
+    ``vm``) has at least ``below.size`` edges: (need, single, loose,
+    loose_edges, two), with need 0 when nothing can be skipped.
+    :func:`_view` computes it once per expansion.  ``single`` holds the
+    vertices of V(x) with exactly one neighbour outside V(x), z for those
+    in ``single & N(z)``, ``loose`` those with none, ``loose_edges`` the
+    edges of x at a loose vertex and ``two`` the vertices of degree two in x.
 
     :func:`_minimalize_mask` removes only pendant edges of the unsettled
     leaves of its input tree, those without a neighbour outside it, and
@@ -257,7 +258,7 @@ def _growth_bound(
       it had none outside V(x), or only z.  So the unsettled leaves of c
       lie in
 
-          U+(e, z) = (leaves(x) & lone[z]) | (fresh(e) & (loose | lone[z]))
+          U+(e, z) = leaves(x) & single & N(z) | fresh(e) & (loose | single & N(z))
 
       with fresh(e) the endpoints of e in ``two``, and they are the
       vertices of U+(e, z) that no added edge reaches, except the leaf v
@@ -272,10 +273,9 @@ def _growth_bound(
     """
     size = mask.bit_count()
     if below is None or size < below.size:
-        return 0, [], 0, 0, 0
+        return 0, 0, 0, 0, 0
     nbr, inc = g.neighbor_vmask, g.incident_mask
-    lone = [0] * g.n
-    loose = loose_edges = two = 0
+    single = loose = loose_edges = two = 0
     rest = vm
     while rest:
         low = rest & -rest
@@ -285,11 +285,11 @@ def _growth_bound(
             loose |= low
             loose_edges |= inc[u] & mask
         elif not out & (out - 1):
-            lone[out.bit_length() - 1] |= low
+            single |= low
         if (inc[u] & mask).bit_count() == 2:
             two |= low
         rest ^= low
-    return size + 1 - below.size, lone, loose, loose_edges, two
+    return size + 1 - below.size, single, loose, loose_edges, two
 
 
 def _spans_at_or_above(view: _View, cand: int) -> bool:
@@ -303,19 +303,24 @@ def _spans_at_or_above(view: _View, cand: int) -> bool:
 def _grows_at_or_above(
     inc: tuple[int, ...], view: _View, cand: int, unsettled: int
 ) -> bool:
-    """True when ``cand``, a candidate tree on V(x) + z with the unsettled
-    leaves ``unsettled`` (:func:`_growth_bound`), provably minimalizes to
-    a solution not before ``view.below``.  It sheds at most the edge at
-    each of them, so it keeps more than ``below.size`` edges when they are
-    fewer than ``view.need``; with exactly one, it sheds that one.  With
-    two or more, an earlier removal can give a later leaf a private edge,
-    so the candidate is built.  Call only with ``view.need`` set."""
+    """True when ``cand``, a candidate tree with the unsettled leaves
+    ``unsettled`` (:func:`_growth_bound`), provably minimalizes to a
+    solution not before ``view.below``.  It sheds at most the edge at each
+    of them, so it keeps more than ``below.size`` edges when they are fewer
+    than the ``cand.bit_count() - below.size`` edges it must shed, which
+    is ``view.need`` for a Type I or II candidate that grows x.  With no
+    unsettled leaf it is its own minimal form; with exactly one, it sheds
+    that one.  With two or more, an earlier removal can give a later leaf a
+    private edge, so the candidate is built.  Call only with
+    ``view.below`` set."""
     count = unsettled.bit_count()
-    if count < view.need:
+    if count < cand.bit_count() - view.below.size:
         return True
     if count > 1:
         return False
-    return not Solution(cand ^ inc[unsettled.bit_length() - 1] & cand) < view.below
+    if count:
+        cand &= ~inc[unsettled.bit_length() - 1]
+    return not Solution(cand) < view.below
 
 
 def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
@@ -361,10 +366,10 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     no leaves of it.
     """
     out: list[tuple[Solution, TypeI]] = []
-    edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
+    edges, edge_vmask, inc, nbr = g.edges, g.edge_vmask, g.incident_mask, g.neighbor_vmask
     mask, vm, inner, r, anc, chain = view.mask, view.vm, view.inner, view.r, view.anc, view.chain
     touch, within = view.touch, view.within
-    need, lone, loose, two = view.need, view.lone, view.loose, view.two
+    need, single, loose, two = view.need, view.single, view.loose, view.two
     leaves = vm & ~inner
 
     def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
@@ -392,7 +397,7 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
             base = rest | (1 << f)
             if not touch1 >> f & 1:  # v lies outside V(x)
                 if need:
-                    grown = ends & lone[v] | fresh_loose
+                    grown = ends & single & nbr[v] | fresh_loose
                     if grown.bit_count() < need:
                         continue
                     grown &= ~edge_vmask[f]
@@ -450,10 +455,10 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     leaves of it.
     """
     out: list[tuple[Solution, TypeII]] = []
-    edges, edge_vmask, inc = g.edges, g.edge_vmask, g.incident_mask
+    edges, edge_vmask, inc, nbr = g.edges, g.edge_vmask, g.incident_mask, g.neighbor_vmask
     mask, vm, touch, within = view.mask, view.vm, view.touch, view.within
     r, anc, chain = view.r, view.anc, view.chain
-    need, lone, loose, two = view.need, view.lone, view.loose, view.two
+    need, single, loose, two = view.need, view.single, view.loose, view.two
     leaves = vm & ~view.inner
     for e, v in view.pendants:
         rest = mask ^ (1 << e)
@@ -467,7 +472,7 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
         for w, h1 in g.adjacency[v]:
             rejoins = vm >> w & 1  # h1 alone puts v back
             if need and not rejoins:
-                grown = ends & lone[w] | fresh_loose
+                grown = ends & single & nbr[w] | fresh_loose
                 if grown.bit_count() < need:
                     continue
             for h2 in _bits(inc[w] & (chords if rejoins else touch) & ~(1 << h1)):
@@ -503,16 +508,11 @@ def type3_neighbor(
     w lies outside V(x), so y lies in V(x) - v.
 
     With ``below`` given to :func:`_view`, None is also returned when the
-    candidate c = x - e + F provably minimalizes to more than
-    ``below.size`` edges.  c is a tree of |x| - 1 + |W| edges on
-    V(x) - v + W, and :func:`_minimalize_mask` removes only leaves of c
-    without a neighbour outside V(c), one edge each.  v lies outside V(c),
-    so no vertex of N(v) goes: not a w, which is a leaf of c, and not v's
-    parent, which keeps another edge of x.  Every other leaf of c is a leaf ell of x that
-    no edge of F reaches, and it can go only when N(ell) - V(x), nonempty
-    since x is minimal, lies in W.  The move is skipped when fewer such
-    leaves are left than the |x| - 1 + |W| - ``below.size`` edges c must
-    shed.
+    candidate c = x - e + F provably minimalizes to a solution not before
+    ``below`` (:func:`_grows_at_or_above`).  c is a tree on V(x) - v + W.
+    Its unsettled leaves are the leaves ell of x that no edge of F reaches,
+    not adjacent to v, with N(ell) - V(x) in W: a w or v's parent has the
+    neighbour v outside V(c), and no other vertex is a leaf of c.
     """
     inc, nbr, edge_vmask = g.incident_mask, g.neighbor_vmask, g.edge_vmask
     vm, reach = view.vm, view.touch & ~inc[v]
@@ -525,14 +525,14 @@ def type3_neighbor(
         low = hs & -hs
         fmask |= low
         ends |= edge_vmask[low.bit_length() - 1]
+    cand = view.mask ^ (1 << e) | fmask
     if view.below is not None:
-        excess = view.mask.bit_count() - 1 + ws.bit_count() - view.below.size
-        if excess > 0:
-            free = vm & ~view.inner & ~ends & ~nbr[v] & ~(1 << v)
-            if sum(not nbr[ell] & ~vm & ~ws for ell in _bits(free)) < excess:
-                return None
+        free = vm & ~view.inner & ~ends & ~nbr[v] & ~(1 << v)
+        unsettled = sum(1 << ell for ell in _bits(free) if not nbr[ell] & ~vm & ~ws)
+        if _grows_at_or_above(inc, view, cand, unsettled):
+            return None
     out: list[tuple[Solution, TypeIII]] = []
-    _consider(g, view.mask ^ (1 << e) | fmask, TypeIII(e, tuple(_bits(fmask))), out, cache)
+    _consider(g, cand, TypeIII(e, tuple(_bits(fmask))), out, cache)
     return out[0]
 
 
@@ -543,9 +543,9 @@ def _moves(
     itself included: Type I, then II, then III, each internally
     deterministic, all reading one :class:`_View` of x and sharing
     ``cache``.  With ``below`` given, the moves leave out candidates that
-    provably minimalize to a solution at or above it: Types I and II by
-    what :func:`_growth_bound` computes once, in :func:`_view`, and Type
-    III by the leaves its candidate can shed (:func:`type3_neighbor`)."""
+    provably minimalize to a solution at or above it, each decided by
+    :func:`_spans_at_or_above` or :func:`_grows_at_or_above`: Types I and
+    II read what :func:`_growth_bound` computes once, in :func:`_view`."""
     view = _view(g, x, below)
     out: list[tuple[Solution, Provenance]] = []
     out += type1_neighbors(g, view, cache)
@@ -583,13 +583,13 @@ def all_neighbors(
     (:func:`_moves` with ``below``).  The batch is still exactly the
     unbounded batch without the solutions at or above ``b``, in the same
     order and with the same provenance.  A skipped candidate's solution
-    would have been dropped, and so would every repeat of it.  Types I and
-    II decide from the candidate's mask alone (:func:`_growth_bound`), so
-    every move that builds a skipped mask again skips it too, and no kept
-    move finds in the cache a candidate that only a skipped one would have
-    put there: the bounded moves are the unbounded ones without every
-    build of the skipped masks.  Type III runs last, and its candidates
-    lack distinct edges of x, so skipping one changes no other candidate.
+    would have been dropped, and so would every repeat of it.  All three
+    moves decide from the candidate's mask alone, so every move that
+    builds a skipped mask again skips it too, and no kept move finds in the
+    cache a candidate that only a skipped one would have put there: the
+    bounded moves are the unbounded ones without every build of the
+    skipped masks.  Type III runs last, and its candidates lack distinct
+    edges of x, so skipping one changes no other candidate.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the

@@ -532,20 +532,24 @@ def test_a_size_bound_skips_only_what_below_drops(n, p, seed, data):
 def test_a_size_bound_skips_only_what_below_drops_on_the_scan_path():
     """The same check on the k-best scan-path instance (n = 20 > 14), for
     ten solutions x of 10 to 12 edges against ten bounds each.  Some
-    skipped candidates minimalize to exactly ``below.size`` edges: the
-    moves skip by the full solution order, not by size alone.  Both order
-    predictions of :func:`_checked_predictions` are made and hold."""
+    skipped candidates minimalize to exactly ``below.size`` edges, Type III
+    ones among them: all three moves skip by the full solution order, not
+    by size alone.  Every order prediction of :func:`_checked_predictions`,
+    of each kind, is made and holds."""
     g = random_connected_graph(20, 0.2, 11)
     sols: list = []
     enumerate_kbest(g, 200, sols.append)
     skipped = []
-    made = {"spans": 0, "grows": 0}
+    made = {"spans": 0, "grows": 0, "type3": 0}
     for x in sols[::20]:
         for below in sols[5::20]:
-            skipped += [(sol, below) for sol, _ in _bounded_batch_skips(g, x, below)]
+            skipped += [(sol, trace, below) for sol, trace in _bounded_batch_skips(g, x, below)]
             for kind, count in _checked_predictions(g, x, below).items():
                 made[kind] += count
-    assert any(sol.size == below.size for sol, below in skipped)
+    assert any(sol.size == below.size for sol, _, below in skipped)
+    assert any(
+        trace.startswith("TYPE3") and sol.size == below.size for sol, trace, below in skipped
+    )
     assert all(made.values()), made
 
 
@@ -555,13 +559,23 @@ def _checked_predictions(g, x, below):
     :func:`_minimalize_mask`; return how many it predicted of each kind.
 
     A candidate on V(x) that keeps every edge of x at a loose vertex must
-    be its own minimal form.  For a candidate that grows x by a vertex, the
-    unsettled leaves the moves pass are exactly its leaves without a
-    neighbour outside it, and with at most one of them, it minimalizes to
-    itself without their edges."""
+    be its own minimal form.  For a candidate that grows x by a vertex, or
+    a Type III candidate (counted as ``type3``), the unsettled leaves the
+    moves pass are exactly its leaves without a neighbour outside it, and
+    with at most one of them, it minimalizes to itself without their
+    edges."""
     spans, grows = neighbors._spans_at_or_above, neighbors._grows_at_or_above
+    type3 = neighbors.type3_neighbor
     nbr = g.neighbor_vmask
-    made = {"spans": 0, "grows": 0}
+    made = {"spans": 0, "grows": 0, "type3": 0}
+    kind = ["grows"]
+
+    def checked_type3(*args):
+        kind[0] = "type3"
+        try:
+            return type3(*args)
+        finally:
+            kind[0] = "grows"
 
     def checked_spans(view, cand):
         if not view.loose_edges & ~cand:
@@ -579,12 +593,13 @@ def _checked_predictions(g, x, below):
         assert unsettled == sum(1 << ell for ell in leaves)
         if len(leaves) <= 1:
             assert _minimalize_mask(g, cand) == cand & ~sum(inc[ell] for ell in leaves)
-            made["grows"] += 1
+            made[kind[0]] += 1
         return grows(inc, view, cand, unsettled)
 
     with (
         mock.patch.object(neighbors, "_spans_at_or_above", checked_spans),
         mock.patch.object(neighbors, "_grows_at_or_above", checked_grows),
+        mock.patch.object(neighbors, "type3_neighbor", checked_type3),
     ):
         _moves(g, x, {}, below)
     return made
@@ -599,7 +614,8 @@ def _checked_predictions(g, x, below):
 @PROPERTY_SETTINGS
 def test_the_order_skip_predicts_what_minimalize_returns(n, p, seed, data):
     """x and ``below`` are drawn from the graph's solutions, ``below`` no
-    larger than x, the only bounds under which the moves predict."""
+    larger than x, the only bounds under which Types I and II predict;
+    Type III predicts under every bound."""
     g = random_connected_graph(n, p, seed)
     if min_ceds_is_singleton(g) is not None:
         return
