@@ -11,6 +11,7 @@ entirely via the closed-form trivial enumeration.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -43,8 +44,9 @@ class EnumerationStats:
 
     ``peak_visited`` is the size of the visited set at the end, the start
     included, and ``duplicates`` counts the batch items already in it.  A
-    k-capped run whose heap has a bound drops the items at or above it
-    first (see :func:`_run`), so neither counts them."""
+    k-capped run drops first every item it can no longer pop (see
+    :func:`_run`), so neither counts them, and its visited set grows by
+    at most ``k - o`` per expansion, ``o`` being the solutions out."""
 
     outputs: int = 0
     expansions: int = 0
@@ -94,27 +96,31 @@ def _run(
     """The traversal behind both enumerators.
 
     With ``k`` set, the run keeps only what can still be popped.  Once
-    ``o`` solutions are out, ``k - o`` pops remain, so an entry with
-    ``k - o`` smaller entries in the heap can only surface after every
-    remaining pop is used: each pop takes the smallest entry, later pushes
-    only add rivals, and solutions are distinct masks, so the order is
-    strict.  After a batch that leaves more than ``2(k - o)`` entries, the
-    heap is cut to its ``k - o`` smallest, and the largest of them becomes
-    ``bound``.  A later cut leaves no fewer than ``k - o`` entries at or
-    below the current bound, so bounds only decrease.
+    ``o`` solutions are out, ``room = k - o`` pops remain, so a solution
+    with ``room`` smaller ones pending can only surface after every
+    remaining pop is used: each pop takes the smallest pending solution,
+    later batches only add rivals, and solutions are distinct masks, so
+    the order is strict.  The pending solutions are then a sorted list,
+    cut to its ``room`` smallest after every batch, the first included.
+    Once it holds ``room`` entries, its largest is ``bound``.  Bounds only
+    decrease: a pop leaves the largest entry in place, and a cut keeps it
+    or a smaller one.
 
-    From the first cut on, a batch item at or above ``bound`` is dropped
-    before anything else: it is not self-checked, does not enter
-    ``visited``, does not reach ``on_insert`` and counts neither against
-    ``max_visited`` nor as a duplicate.  It can never be popped, and when
-    a later batch finds it again it meets a bound no larger, so it is
-    dropped again.  An item that is kept is therefore kept where it is
-    first found, with the provenance an untrimmed run would record, and
-    the run pops the same solutions in the same order: outputs and
-    expansions are those of an untrimmed heap, while ``on_insert``,
-    ``duplicates`` and ``peak_visited`` see only the kept items.
+    :func:`all_neighbors` gets ``bound``, ``room`` and the pending list.
+    Before its self-check, it drops every batch item at or above
+    ``bound``, and every item above the ``room``-th smallest of the
+    pending list and the new items, which is where the cut will fall.  A
+    dropped item is not self-checked, does not enter ``visited``, does not
+    reach ``on_insert`` and counts neither against ``max_visited`` nor as
+    a duplicate.  It can never be popped, and when a later batch finds it
+    again it meets a bound no larger, so it is dropped again.  An item
+    that is kept is therefore kept where it is first found, with the
+    provenance an untrimmed run would record, and at most ``room`` enter
+    ``visited`` per batch.  The run pops the same solutions in the same
+    order as one that keeps everything: outputs and expansions are those
+    of an untrimmed heap, while ``on_insert``, ``duplicates`` and
+    ``peak_visited`` see only the kept items.
 
-    :func:`all_neighbors` drops the items itself, before its self-check.
     A run with ``k`` set neither reads nor fills ``neighbor_cache``: a
     bounded batch would not serve a later run.
     """
@@ -165,21 +171,24 @@ def _run(
     # visited; a cached batch was asserted by the run that filled it
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
-    heap: list[Solution] = []
-    bound: Solution | None = None  # set by the first trim of a k-capped heap
-    queue: deque[Solution] = deque()
-    if kbest:
-        heap.append(start)
+    # what is left to expand: a FIFO queue, a heap, or with k set a sorted
+    # list of at most k - o solutions
+    if not kbest:
+        frontier, pop, push = deque([start]), deque.popleft, deque.append
+    elif k is None:
+        frontier, pop, push = [start], heapq.heappop, heapq.heappush
     else:
-        queue.append(start)
-    while heap or queue:
-        sol = heapq.heappop(heap) if kbest else queue.popleft()
+        frontier, pop, push = [start], lambda pending: pending.pop(0), insort
+    bound: Solution | None = None  # the largest entry of a full k-capped list
+    while frontier:
+        sol = pop(frontier)
         emit(sol)
         if k is not None and stats.outputs >= k:
             break
+        room = None if k is None else k - stats.outputs
         stats.expansions += 1
         if neighbor_cache is None:
-            items = all_neighbors(g, sol, visited, below=bound).items
+            items = all_neighbors(g, sol, visited, below=bound, room=room, pending=frontier).items
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
@@ -194,14 +203,10 @@ def _run(
             visited.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
-            if kbest:
-                heapq.heappush(heap, nb)
-            else:
-                queue.append(nb)
-        if k is not None and len(heap) > 2 * (k - stats.outputs):
-            # nsmallest returns its entries sorted, which is a valid heap
-            heap = heapq.nsmallest(k - stats.outputs, heap)
-            bound = heap[-1]
+            push(frontier, nb)
+        if room is not None and len(frontier) >= room:
+            del frontier[room:]
+            bound = frontier[-1]
     stats.peak_visited = len(visited)
     return finalize()
 
@@ -252,13 +257,13 @@ def enumerate_kbest(
     ``neighbor_cache`` is ignored: it is neither read nor filled.
 
     ``k`` and ``max_visited``, when given, must be ints >= 1: TypeError
-    otherwise, ValueError below 1, before any output.  Memory: after each
-    batch the heap holds at most ``2(k - o)`` entries, ``o`` being the
-    solutions out so far; while a batch is pushed it grows by at most that
-    batch.  Once the heap has been cut, a solution found at or above its
-    largest entry can never be popped and is dropped unchecked: it does
-    not enter the visited set, reach ``on_insert``, count against
-    ``max_visited`` or count as a duplicate.
+    otherwise, ValueError below 1, before any output.  Memory: the heap
+    never holds more than ``k - o`` entries, ``o`` being the solutions out
+    so far.  A solution found above the ``(k - o)``-th smallest of the heap
+    and the batch can never be popped, and is dropped unchecked: only what
+    the heap keeps is self-checked, enters the visited set, reaches
+    ``on_insert`` and counts against ``max_visited``, so the visited set
+    grows by at most ``k - o`` per expansion.
     """
     _check_limit("k", k)
     _check_limit("max_visited", max_visited)

@@ -8,7 +8,7 @@ connected, which is what lets a plain traversal reach every solution.
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -563,9 +563,12 @@ def all_neighbors(
     certified: Container[int] = frozenset(),
     *,
     below: Solution | None = None,
+    room: int | None = None,
+    pending: Sequence[Solution] = (),
 ) -> NeighborBatch:
     """All moves from x, deduplicated by mask, origin removed, and with
-    ``below`` given, only the solutions ordered before it.
+    ``below`` given, only the solutions ordered before it; with ``room``
+    given, only those a k-capped run can still pop.
 
     Order is generation order: Type I, then II, then III, each internally
     deterministic, keeping the first provenance for a repeated solution.
@@ -576,7 +579,7 @@ def all_neighbors(
     ``(g, mask)`` and a second call cannot answer otherwise.  A traversal
     passes its visited set, whose every mask was asserted once on its way
     in; a direct call checks every item.  A solution left out by ``below``
-    is dropped before the assert, so it is never checked.
+    or by ``room`` is dropped before the assert, so it is never checked.
 
     With ``below`` given, the moves do not even build the candidates that
     provably minimalize to a solution at or above ``b = below``
@@ -590,6 +593,16 @@ def all_neighbors(
     bounded moves are the unbounded ones without every build of the
     skipped masks.  Type III runs last, and its candidates lack distinct
     edges of x, so skipping one changes no other candidate.
+
+    ``room`` is the number of pops a k-capped traversal has left, and
+    ``pending`` the solutions it has yet to pop, in ascending order and
+    all in ``certified``.  Take the new items, those below ``below`` and
+    not in ``certified``.  When they and ``pending`` number more than
+    ``room``, the batch keeps only its items at or below the ``room``-th
+    smallest of them, new or certified.  An item above it has ``room``
+    smaller rivals, so the run can never pop it
+    (:func:`~cedsenum.enumeration._run`).  ``pending`` must be ascending:
+    the cut compares only its largest entries.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
@@ -602,5 +615,12 @@ def all_neighbors(
             seen.add(sol.mask)
             if below is None or sol < below:
                 items.append((sol, prov))
+    if room is not None:
+        new = [sol for sol, _ in items if sol.mask not in certified]
+        drop = len(pending) + len(new) - room
+        if drop > 0:
+            # the drop + 1 largest of both lie among these
+            cut = sorted([*pending[-drop - 1:], *new])[-drop - 1]
+            items = [item for item in items if not cut < item[0]]
     assert all(sol.mask in certified or is_minimal_ceds(g, sol.mask) for sol, _ in items)
     return NeighborBatch(items)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -142,11 +143,14 @@ def test_neighbor_cache_reuse(c5):
 
 
 # Each fault below breaks a solution the traversal reaches; certifying each
-# mask once, on its way into the visited set, must still catch it.
+# mask once, on its way into the visited set, must still catch it.  The
+# k-best run keeps only what it can still pop, so its k leaves room for a
+# faulty mask: left unminimalized, the seed's batch on c5 holds two 3-edge
+# solutions and three 4-edge masks, and k = 4 keeps three of the five.
 _RUNS = {
     "all": (lambda g: enumerate_all(g, lambda sol: None), initial_solution),
     "kbest": (
-        lambda g: enumerate_kbest(g, 3, lambda sol: None),
+        lambda g: enumerate_kbest(g, 4, lambda sol: None),
         lambda g: approx_min_ceds(g).solution,
     ),
     "cached": (lambda g: enumerate_all(g, lambda sol: None, neighbor_cache={}), initial_solution),
@@ -240,13 +244,14 @@ def test_scan_path_order_matches_the_golden_digest():
     """n > 14, so every domination test scans dominator masks rather than
     the vertex-cover table.  Recorded before the bitmask kernels, then
     again once a bounded run stopped keeping the solutions it can no
-    longer pop, and again when the seed became the smallest over a DFS
-    tree from every root; the outputs alone are pinned by a digest
-    recorded with that seed."""
+    longer pop, again when the seed became the smallest over a DFS tree
+    from every root, and again when the heap was cut to ``k - o`` entries
+    after every batch, which keeps 77 inserts against 259; the outputs
+    alone are pinned by a digest recorded with that seed."""
     g = random_connected_graph(20, 0.2, 11)
     assert g.n > 14
     assert _digest(_traced_lines(g, enumerate_kbest, 20)) == (
-        279, "618d999bb6e34f333c8882dc4b6d1b1657cd0b57d7a3ecbdcfcb50d8bd703bbf"
+        97, "4b052f305d104ce1d35deb03c7691c4d16f00e321c9df188f134fb208fbf959c"
     )
 
 
@@ -435,15 +440,71 @@ def test_kbest_prefixes_agree(seed):
 def test_benchmark_kbest_instance_matches_the_golden_digest():
     """k=100 on the benchmark's k-best instance, with every ``on_insert``
     trace.  Recorded before the heap was trimmed, then again once a bounded
-    run stopped keeping the solutions it can no longer pop, and again when
-    the seed became the smallest over a DFS tree from every root: the run
-    now starts from a 16-edge seed, the optimum, against 22 before, and
-    keeps 900 solutions, against 2,679.  The outputs alone are pinned by a
-    digest recorded with that seed."""
+    run stopped keeping the solutions it can no longer pop, again when the
+    seed became the smallest over a DFS tree from every root (the run now
+    starts from a 16-edge seed, the optimum, against 22 before, and kept
+    900 solutions, against 2,679), and again when the heap was cut to
+    ``k - o`` entries after every batch: the run keeps 459 solutions,
+    against 900.  The outputs alone are pinned by a digest recorded with
+    that seed."""
     g = random_connected_graph(30, 0.15, 5)
     assert _digest(_traced_lines(g, enumerate_kbest, 100)) == (
-        1000, "c2df2d459ff1ace37d2c9623c55481757d085632787abe1e4d0cc2599341ef76"
+        559, "e537286fc1ab2f7cd5869f0d3a6eb75e792c2e0c6e0fd3707e7e310ad969f90a"
     )
+
+
+def _check_capped_run(g, k):
+    """Run ``enumerate_kbest(g, k)`` and check that after its o-th output
+    it inserts at most ``k - o`` solutions, counted by ``on_insert``
+    before the next output, and that it self-checks the start and then
+    exactly the masks it inserts, in order: none that it drops.  Each
+    batch gets the pops left and a heap of at most that many entries."""
+    inserted: list[list[int]] = [[]]
+    checked: list[int] = []
+
+    def recorded(g, mask):
+        checked.append(mask)
+        return is_minimal_ceds(g, mask)
+
+    def batch(g, x, certified, **kwargs):
+        assert kwargs["room"] == k - (len(inserted) - 1) >= len(kwargs["pending"])
+        return neighbors.all_neighbors(g, x, certified, **kwargs)
+
+    with (
+        mock.patch.object(enumeration, "is_minimal_ceds", recorded),
+        mock.patch.object(neighbors, "is_minimal_ceds", recorded),
+        mock.patch.object(enumeration, "all_neighbors", batch),
+    ):
+        enumerate_kbest(
+            g, k, lambda sol: inserted.append([]),
+            on_insert=lambda sol, prov: inserted[-1].append(sol.mask),
+        )
+    assert inserted[0] == []
+    assert all(len(masks) <= k - o for o, masks in enumerate(inserted) if o)
+    flat = [mask for masks in inserted for mask in masks]
+    if min_ceds_is_singleton(g) is not None:
+        assert checked == flat == []
+    else:
+        assert checked == [approx_min_ceds(g).solution.mask, *flat]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 20])
+def test_a_capped_run_checks_and_inserts_only_what_it_can_pop_on_the_tiny_corpus(k):
+    for g in tiny_corpus():
+        _check_capped_run(g, k)
+
+
+@given(
+    st.integers(min_value=6, max_value=12),
+    st.sampled_from((0.25, 0.4, 0.6)),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=40),
+)
+@example(n=6, p=0.25, seed=11, k=2)  # a trivial instance
+@example(n=9, p=0.25, seed=104, k=40)  # a trivial instance
+@PROPERTY_SETTINGS
+def test_a_capped_run_checks_and_inserts_only_what_it_can_pop(n, p, seed, k):
+    _check_capped_run(random_connected_graph(n, p, seed), k)
 
 
 @given(

@@ -553,6 +553,46 @@ def test_a_size_bound_skips_only_what_below_drops_on_the_scan_path():
     assert all(made.values()), made
 
 
+@given(
+    st.integers(min_value=6, max_value=12),
+    st.sampled_from([0.25, 0.4, 0.6]),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+@PROPERTY_SETTINGS
+def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
+    """With room r and pending solutions H, the batch is the one without
+    them, items, order and provenance alike, with only the items at or
+    below the r-th smallest of H and the new items (those not certified)
+    kept; of those, only the new ones are self-checked.  x, the certified
+    masks, H among them, r and an optional ``below`` are drawn from the
+    graph's first 100 solutions."""
+    g = random_connected_graph(n, p, seed)
+    if min_ceds_is_singleton(g) is not None:
+        return
+    sols: list = []
+    enumerate_kbest(g, 100, sols.append)
+    x = data.draw(st.sampled_from(sols))
+    certified = data.draw(st.sets(st.sampled_from(sols), max_size=30))
+    pending = sorted(data.draw(st.sets(st.sampled_from(sols), max_size=30)) & certified - {x})
+    room = data.draw(st.integers(min_value=1, max_value=40))
+    below = data.draw(st.none() | st.sampled_from(sols))
+    masks = {sol.mask for sol in certified}
+    full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, masks, below=below).items]
+    union = sorted([*pending, *(sol for sol, _ in full if sol.mask not in masks)])
+    want = full if len(union) <= room else [item for item in full if not union[room - 1] < item[0]]
+    checked: list[int] = []
+
+    def recorded(g, mask):
+        checked.append(mask)
+        return is_minimal_ceds(g, mask)
+
+    with mock.patch.object(neighbors, "is_minimal_ceds", recorded):
+        batch = all_neighbors(g, x, masks, below=below, room=room, pending=pending)
+    assert [(sol, prov.trace()) for sol, prov in batch.items] == want
+    assert checked == [sol.mask for sol, _ in want if sol.mask not in masks]
+
+
 def _checked_predictions(g, x, below):
     """Run the moves from x bounded by ``below`` and check every
     minimalization the order skip predicts against

@@ -79,30 +79,32 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     CEDS-tested.  Unbounded, the 19 expansions build 145 Type I, 106 Type
     II and 70 Type III candidates.  Once the heap has a bound, the moves
     skip the candidates that provably minimalize to a solution at or above
-    it, 55 of Type I, 34 of Type II and 24 of Type III here, so 90, 72 and
-    46 candidates are minimalized.  All three skip by the full solution
-    order: a size bound alone skipped 5 of Type I, 5 of Type II and 10 of
-    Type III.  The skipped solutions never reached a batch, so the
-    batches, and the masks self-checked, stay as they were.  The seed
-    minimalizes each of its 13 distinct pruned DFS trees once.  The start
-    is asserted in the traversal itself, outside the ``ceds.self_check``
-    span, so the span counts the 44 inserted masks of the 132 batch items:
-    ``all_neighbors`` also leaves out every solution at or above the
-    bound, unchecked."""
+    it, 62 of Type I, 41 of Type II and 30 of Type III here, so 83, 65 and
+    40 candidates are minimalized.  All three skip by the full solution
+    order.  The bound is the largest entry of a heap cut to ``k - o``
+    entries after every batch.  The skipped solutions never reached a
+    batch, so the batches
+    are the unbounded ones without them and without what the heap would
+    not keep.  The seed minimalizes each of its 13 distinct pruned DFS
+    trees once.  The start is asserted in the traversal itself, outside
+    the ``ceds.self_check`` span, so the span counts the 22 inserted masks
+    of the 99 batch items: ``all_neighbors`` also leaves out every
+    solution at or above the bound, and every one above the ``(k - o)``-th
+    smallest of the heap and the batch, unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
         lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     )
     counts = {
-        "neighbors.candidates.type1": 90,
-        "neighbors.candidates.type2": 72,
-        "neighbors.candidates.type3": 46,
+        "neighbors.candidates.type1": 83,
+        "neighbors.candidates.type2": 65,
+        "neighbors.candidates.type3": 40,
         "neighbors.cache_hits": 0,
-        "neighbors.batch_items": 132,
+        "neighbors.batch_items": 99,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 90 + 72 + 46 + 13
-    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 44
+    assert tracer.calls["ceds.minimalize"] == 83 + 65 + 40 + 13
+    assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 22
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
