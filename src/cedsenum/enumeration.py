@@ -3,14 +3,13 @@
 Both algorithms walk the directed supergraph whose vertices are the minimal
 CEDS and whose arcs come from :func:`cedsenum.neighbors.all_neighbors`.
 Full enumeration is a FIFO breadth-first search; k-best replaces the queue
-with a priority queue ordered by (size, canonical key) and stops after k
+with one list kept ascending by (size, canonical key) and stops after k
 outputs.  Graphs that admit a single-edge CEDS bypass the supergraph
 entirely via the closed-form trivial enumeration.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from collections import deque
 from collections.abc import Callable
@@ -45,8 +44,9 @@ class EnumerationStats:
     ``peak_visited`` is the size of the visited set at the end, the start
     included, and ``duplicates`` counts the batch items already in it.  A
     k-capped run drops first every item it can no longer pop (see
-    :func:`_run`), so neither counts them, and its visited set grows by
-    at most ``k - o`` per expansion, ``o`` being the solutions out."""
+    :func:`~cedsenum.neighbors.all_neighbors`), so neither counts them,
+    and its visited set grows by at most ``k - o`` per expansion, ``o``
+    being the solutions out."""
 
     outputs: int = 0
     expansions: int = 0
@@ -95,31 +95,18 @@ def _run(
 ) -> EnumerationStats:
     """The traversal behind both enumerators.
 
-    With ``k`` set, the run keeps only what can still be popped.  Once
-    ``o`` solutions are out, ``room = k - o`` pops remain, so a solution
-    with ``room`` smaller ones pending can only surface after every
-    remaining pop is used: each pop takes the smallest pending solution,
-    later batches only add rivals, and solutions are distinct masks, so
-    the order is strict.  The pending solutions are then a sorted list,
-    cut to its ``room`` smallest after every batch, the first included.
-    Once it holds ``room`` entries, its largest is ``bound``.  Bounds only
-    decrease: a pop leaves the largest entry in place, and a cut keeps it
-    or a smaller one.
-
-    :func:`all_neighbors` gets ``bound``, ``room`` and the pending list.
-    Before its self-check, it drops every batch item at or above
-    ``bound``, and every item above the ``room``-th smallest of the
-    pending list and the new items, which is where the cut will fall.  A
+    With ``k`` set, ``room = k - o`` pops remain once ``o`` solutions are
+    out.  The pending list is cut to its ``room`` smallest after every
+    batch, the first included, and :func:`all_neighbors` gets ``room`` and
+    the list: it reads the bound off the list and drops every batch item
+    the run can never pop, and its docstring says why the rule holds.  A
     dropped item is not self-checked, does not enter ``visited``, does not
     reach ``on_insert`` and counts neither against ``max_visited`` nor as
-    a duplicate.  It can never be popped, and when a later batch finds it
-    again it meets a bound no larger, so it is dropped again.  An item
-    that is kept is therefore kept where it is first found, with the
-    provenance an untrimmed run would record, and at most ``room`` enter
-    ``visited`` per batch.  The run pops the same solutions in the same
-    order as one that keeps everything: outputs and expansions are those
-    of an untrimmed heap, while ``on_insert``, ``duplicates`` and
-    ``peak_visited`` see only the kept items.
+    a duplicate, so at most ``room`` items enter ``visited`` per batch.
+    The run pops the same solutions in the same order as one that keeps
+    everything: outputs and expansions are those of an untrimmed run,
+    while ``on_insert``, ``duplicates`` and ``peak_visited`` see only the
+    kept items.
 
     A run with ``k`` set neither reads nor fills ``neighbor_cache``: a
     bounded batch would not serve a later run.
@@ -171,15 +158,12 @@ def _run(
     # visited; a cached batch was asserted by the run that filled it
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
-    # what is left to expand: a FIFO queue, a heap, or with k set a sorted
-    # list of at most k - o solutions
-    if not kbest:
-        frontier, pop, push = deque([start]), deque.popleft, deque.append
-    elif k is None:
-        frontier, pop, push = [start], heapq.heappop, heapq.heappush
-    else:
+    # what is left to expand: a FIFO queue, or one ascending list, cut to
+    # its k - o smallest when k is set (see all_neighbors)
+    if kbest:
         frontier, pop, push = [start], lambda pending: pending.pop(0), insort
-    bound: Solution | None = None  # the largest entry of a full k-capped list
+    else:
+        frontier, pop, push = deque([start]), deque.popleft, deque.append
     while frontier:
         sol = pop(frontier)
         emit(sol)
@@ -188,7 +172,7 @@ def _run(
         room = None if k is None else k - stats.outputs
         stats.expansions += 1
         if neighbor_cache is None:
-            items = all_neighbors(g, sol, visited, below=bound, room=room, pending=frontier).items
+            items = all_neighbors(g, sol, visited, room=room, pending=frontier).items
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
@@ -204,9 +188,8 @@ def _run(
             if on_insert is not None:
                 on_insert(nb, prov)
             push(frontier, nb)
-        if room is not None and len(frontier) >= room:
+        if room is not None:
             del frontier[room:]
-            bound = frontier[-1]
     stats.peak_visited = len(visited)
     return finalize()
 
@@ -247,23 +230,24 @@ def enumerate_kbest(
     """Feed up to ``k`` minimal CEDS to ``sink``, best-first from a 2-approximate seed.
 
     The seed from :func:`~cedsenum.approx.approx_min_ceds` comes out first,
-    whatever its size; the traversal then pops a priority queue ordered by
-    (size, canonical key), so the output is not sorted by size.  What holds
-    is the prefix guarantee checked in the oracle module: after every
-    output, the largest size emitted so far is at most ``c + 2`` times the
-    smallest solution not yet emitted, where ``c <= 2`` is the seed's ratio
-    to the optimum.  ``k=None`` removes the output cap, which yields exactly
-    the full solution set in best-first order.  With ``k`` set,
-    ``neighbor_cache`` is ignored: it is neither read nor filled.
+    whatever its size; the traversal then pops the smallest pending
+    solution by (size, canonical key), so the output is not sorted by
+    size.  What holds is the prefix guarantee checked in the oracle
+    module: after every output, the largest size emitted so far is at most
+    ``c + 2`` times the smallest solution not yet emitted, where ``c <= 2``
+    is the seed's ratio to the optimum.  ``k=None`` removes the output
+    cap, which yields exactly the full solution set in best-first order.
+    With ``k`` set, ``neighbor_cache`` is ignored: it is neither read nor
+    filled.
 
     ``k`` and ``max_visited``, when given, must be ints >= 1: TypeError
-    otherwise, ValueError below 1, before any output.  Memory: the heap
-    never holds more than ``k - o`` entries, ``o`` being the solutions out
-    so far.  A solution found above the ``(k - o)``-th smallest of the heap
-    and the batch can never be popped, and is dropped unchecked: only what
-    the heap keeps is self-checked, enters the visited set, reaches
-    ``on_insert`` and counts against ``max_visited``, so the visited set
-    grows by at most ``k - o`` per expansion.
+    otherwise, ValueError below 1, before any output.  Memory: the pending
+    list never holds more than ``k - o`` entries, ``o`` being the solutions
+    out so far.  A solution the run can never pop is dropped unchecked
+    (:func:`~cedsenum.neighbors.all_neighbors`): only what the list keeps
+    is self-checked, enters the visited set, reaches ``on_insert`` and
+    counts against ``max_visited``, so the visited set grows by at most
+    ``k - o`` per expansion.
     """
     _check_limit("k", k)
     _check_limit("max_visited", max_visited)

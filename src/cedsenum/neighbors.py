@@ -562,13 +562,11 @@ def all_neighbors(
     x: Solution,
     certified: Container[int] = frozenset(),
     *,
-    below: Solution | None = None,
     room: int | None = None,
     pending: Sequence[Solution] = (),
 ) -> NeighborBatch:
-    """All moves from x, deduplicated by mask, origin removed, and with
-    ``below`` given, only the solutions ordered before it; with ``room``
-    given, only those a k-capped run can still pop.
+    """All moves from x, deduplicated by mask, origin removed; with
+    ``room`` given, only the solutions a k-capped run can still pop.
 
     Order is generation order: Type I, then II, then III, each internally
     deterministic, keeping the first provenance for a repeated solution.
@@ -578,36 +576,50 @@ def all_neighbors(
     skip is exact, since :func:`is_minimal_ceds` is a pure function of
     ``(g, mask)`` and a second call cannot answer otherwise.  A traversal
     passes its visited set, whose every mask was asserted once on its way
-    in; a direct call checks every item.  A solution left out by ``below``
-    or by ``room`` is dropped before the assert, so it is never checked.
+    in; a direct call checks every item.  A solution left out by ``room``
+    is dropped before the assert, so it is never checked.
 
-    With ``below`` given, the moves do not even build the candidates that
-    provably minimalize to a solution at or above ``b = below``
-    (:func:`_moves` with ``below``).  The batch is still exactly the
-    unbounded batch without the solutions at or above ``b``, in the same
-    order and with the same provenance.  A skipped candidate's solution
-    would have been dropped, and so would every repeat of it.  All three
-    moves decide from the candidate's mask alone, so every move that
-    builds a skipped mask again skips it too, and no kept move finds in the
-    cache a candidate that only a skipped one would have put there: the
-    bounded moves are the unbounded ones without every build of the
+    ``room >= 1`` is the number of pops a k-capped traversal has left, and
+    ``pending`` the solutions it has yet to pop, ascending and all in
+    ``certified``.  Each pop takes the smallest pending solution, later
+    batches only add rivals, and solutions are distinct masks in a strict
+    order, so a solution with ``room`` smaller ones pending can never be
+    popped.  Two cuts drop such solutions.
+
+    Once ``pending`` holds ``room`` entries, ``b = pending[room - 1]`` is a
+    bound, and the batch keeps only the solutions before it.  The moves do
+    not even build the candidates that provably minimalize to a solution
+    at or above ``b`` (:func:`_moves` with ``below``).  The batch is still
+    exactly the unbounded batch without the solutions at or above ``b``,
+    in the same order and with the same provenance.  A skipped candidate's
+    solution would have been dropped, and so would every repeat of it.
+    All three moves decide from the candidate's mask alone, so every move
+    that builds a skipped mask again skips it too, and no kept move finds
+    in the cache a candidate that only a skipped one would have put there:
+    the bounded moves are the unbounded ones without every build of the
     skipped masks.  Type III runs last, and its candidates lack distinct
     edges of x, so skipping one changes no other candidate.
 
-    ``room`` is the number of pops a k-capped traversal has left, and
-    ``pending`` the solutions it has yet to pop, in ascending order and
-    all in ``certified``.  Take the new items, those below ``below`` and
-    not in ``certified``.  When they and ``pending`` number more than
-    ``room``, the batch keeps only its items at or below the ``room``-th
-    smallest of them, new or certified.  An item above it has ``room``
-    smaller rivals, so the run can never pop it
-    (:func:`~cedsenum.enumeration._run`).  ``pending`` must be ascending:
-    the cut compares only its largest entries.
+    Then take the new items, those before ``b`` and not in ``certified``.
+    When they and ``pending`` number more than ``room``, the batch keeps
+    only its items at or below the ``room``-th smallest of them, new or
+    certified; the cut compares only the largest entries of ``pending``.
+
+    The bound never rises along a run, since
+    :func:`~cedsenum.enumeration._run` cuts its pending list to the
+    ``room`` smallest after every batch.  A pop removes the smallest entry
+    while ``room`` falls by one, which leaves the ``room``-th smallest in
+    place, and a batch only adds rivals.  So when a later batch finds again
+    an item that either cut dropped, the bound is at or below that cut, and
+    the item is dropped again: an item that is kept is kept where it is
+    first found, with the provenance a run that keeps everything would
+    record.
     """
     if x.size < 2:
         # a single-edge solution only occurs in graphs handled by the
         # trivial-instance path, which never consults the supergraph
         return NeighborBatch([])
+    below = pending[room - 1] if room is not None and len(pending) >= room else None
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
     for sol, prov in _moves(g, x, {}, below):

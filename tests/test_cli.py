@@ -377,8 +377,8 @@ def test_kbest_computes_the_seed_once(c5_file, capsys, monkeypatch, output):
 
 
 def test_kbest_trace_and_max_visited_count_the_kept_solutions(tmp_path, capsys):
-    """On a general graph whose k-best run bounds its heap, ``--trace``
-    logs one line per kept solution, the start aside, and
+    """On a general graph whose k-best run bounds its pending list,
+    ``--trace`` logs one line per kept solution, the start aside, and
     ``--max-visited`` counts the same solutions: the run needs exactly
     ``peak_visited`` of them."""
     path = tmp_path / "g.edges"

@@ -240,6 +240,17 @@ def test_output_order_matches_the_golden_digests():
     )
 
 
+def test_uncapped_kbest_order_matches_the_golden_digest():
+    """``k=None``: every solution in best-first order, with each
+    ``on_insert`` trace.  Recorded when the uncapped run still popped a
+    heap; the ascending pending list of a capped run must pop the same
+    sequence, since solutions are distinct masks in a strict order."""
+    g = random_connected_graph(14, 0.18, 8)
+    assert _digest(_traced_lines(g, enumerate_kbest, None)) == (
+        335, "5805274ba31a17a909c61843ca615c10c2d44a0876190402a9dae0ef2b25c001"
+    )
+
+
 def test_scan_path_order_matches_the_golden_digest():
     """n > 14, so every domination test scans dominator masks rather than
     the vertex-cover table.  Recorded before the bitmask kernels, then
@@ -458,7 +469,8 @@ def _check_capped_run(g, k):
     it inserts at most ``k - o`` solutions, counted by ``on_insert``
     before the next output, and that it self-checks the start and then
     exactly the masks it inserts, in order: none that it drops.  Each
-    batch gets the pops left and a heap of at most that many entries."""
+    batch gets the pops left and a pending list of at most that many
+    entries."""
     inserted: list[list[int]] = [[]]
     checked: list[int] = []
 

@@ -487,15 +487,24 @@ def test_no_candidate_is_considered_twice_in_one_expansion(monkeypatch):
 
 
 def _bounded_batch_skips(g, x, below):
-    """Check that ``below`` leaves the batch from x as the unbounded one
-    without its solutions at or above ``below``, items, order and
-    provenance alike, and return the candidates the bound skipped: the
-    unbounded moves without the bounded ones, which must be a subsequence
-    of them, each minimalizing to a solution at or above ``below``."""
+    """Check that the moves from x bounded by ``below``, each solution
+    taken at its first occurrence, without x and below ``below``, are the
+    unbounded batch without its solutions at or above ``below``, items,
+    order and provenance alike.  Return the candidates the bound skipped:
+    the unbounded moves without the bounded ones, which must be a
+    subsequence of them, each minimalizing to a solution at or above
+    ``below``."""
     full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x).items]
-    got = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, below=below).items]
+    bounded = [(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below)]
+    seen = {x.mask}
+    got = []
+    for sol, trace in bounded:
+        if sol.mask not in seen:
+            seen.add(sol.mask)
+            if sol < below:
+                got.append((sol, trace))
     assert got == [item for item in full if item[0] < below]
-    kept = iter([(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below)])
+    kept = iter(bounded)
     nxt = next(kept, None)
     skipped = []
     for item in ((sol, prov.trace()) for sol, prov in _moves(g, x, {})):
@@ -562,11 +571,11 @@ def test_a_size_bound_skips_only_what_below_drops_on_the_scan_path():
 @PROPERTY_SETTINGS
 def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
     """With room r and pending solutions H, the batch is the one without
-    them, items, order and provenance alike, with only the items at or
-    below the r-th smallest of H and the new items (those not certified)
-    kept; of those, only the new ones are self-checked.  x, the certified
-    masks, H among them, r and an optional ``below`` are drawn from the
-    graph's first 100 solutions."""
+    them, items, order and provenance alike, with only the items kept that
+    are before H's r-th smallest, when H has r entries or more, and at or
+    below the r-th smallest of H and the new items (those not certified);
+    of those, only the new ones are self-checked.  x, the certified masks,
+    H among them, and r are drawn from the graph's first 100 solutions."""
     g = random_connected_graph(n, p, seed)
     if min_ceds_is_singleton(g) is not None:
         return
@@ -576,9 +585,10 @@ def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
     certified = data.draw(st.sets(st.sampled_from(sols), max_size=30))
     pending = sorted(data.draw(st.sets(st.sampled_from(sols), max_size=30)) & certified - {x})
     room = data.draw(st.integers(min_value=1, max_value=40))
-    below = data.draw(st.none() | st.sampled_from(sols))
     masks = {sol.mask for sol in certified}
-    full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, masks, below=below).items]
+    full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, masks).items]
+    if len(pending) >= room:
+        full = [item for item in full if item[0] < pending[room - 1]]
     union = sorted([*pending, *(sol for sol, _ in full if sol.mask not in masks)])
     want = full if len(union) <= room else [item for item in full if not union[room - 1] < item[0]]
     checked: list[int] = []
@@ -588,7 +598,7 @@ def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
         return is_minimal_ceds(g, mask)
 
     with mock.patch.object(neighbors, "is_minimal_ceds", recorded):
-        batch = all_neighbors(g, x, masks, below=below, room=room, pending=pending)
+        batch = all_neighbors(g, x, masks, room=room, pending=pending)
     assert [(sol, prov.trace()) for sol, prov in batch.items] == want
     assert checked == [sol.mask for sol, _ in want if sol.mask not in masks]
 

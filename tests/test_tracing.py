@@ -77,20 +77,19 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     keep of it, so the cache is never hit, no DFS runs on the candidate
     path, and the moves build CEDS by construction, so no candidate is
     CEDS-tested.  Unbounded, the 19 expansions build 145 Type I, 106 Type
-    II and 70 Type III candidates.  Once the heap has a bound, the moves
-    skip the candidates that provably minimalize to a solution at or above
-    it, 62 of Type I, 41 of Type II and 30 of Type III here, so 83, 65 and
-    40 candidates are minimalized.  All three skip by the full solution
-    order.  The bound is the largest entry of a heap cut to ``k - o``
-    entries after every batch.  The skipped solutions never reached a
-    batch, so the batches
-    are the unbounded ones without them and without what the heap would
-    not keep.  The seed minimalizes each of its 13 distinct pruned DFS
-    trees once.  The start is asserted in the traversal itself, outside
+    II and 70 Type III candidates.  Once the pending list has a bound, the
+    moves skip the candidates that provably minimalize to a solution at or
+    above it, 62 of Type I, 41 of Type II and 30 of Type III here, so 83,
+    65 and 40 candidates are minimalized.  All three skip by the full
+    solution order.  The bound is the largest entry of a pending list cut
+    to ``k - o`` entries after every batch.  The skipped solutions never
+    reached a batch, so the batches are the unbounded ones without them and
+    without what the pending list would not keep.  The seed minimalizes
+    each of its 13 distinct pruned DFS trees once.  The start is asserted in the traversal itself, outside
     the ``ceds.self_check`` span, so the span counts the 22 inserted masks
     of the 99 batch items: ``all_neighbors`` also leaves out every
     solution at or above the bound, and every one above the ``(k - o)``-th
-    smallest of the heap and the batch, unchecked."""
+    smallest of the pending list and the batch, unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
