@@ -43,10 +43,13 @@ class EnumerationStats:
 
     ``peak_visited`` is the size of the visited set at the end, the start
     included, and ``duplicates`` counts the batch items already in it.  A
-    k-capped run drops first every item it can no longer pop (see
-    :func:`~cedsenum.neighbors.all_neighbors`), so neither counts them,
-    and its visited set grows by at most ``k - o`` per expansion, ``o``
-    being the solutions out."""
+    run without ``neighbor_cache`` skips the candidates it built in
+    earlier expansions (see :func:`_run`), so its batches leave out many
+    such items, and it counts fewer duplicates than a cached run with the
+    same outputs.  A k-capped run drops first every item it can no longer
+    pop (see :func:`~cedsenum.neighbors.all_neighbors`), so neither counts
+    them, and its visited set grows by at most ``k - o`` per expansion,
+    ``o`` being the solutions out."""
 
     outputs: int = 0
     expansions: int = 0
@@ -110,6 +113,15 @@ def _run(
 
     A run with ``k`` set neither reads nor fills ``neighbor_cache``: a
     bounded batch would not serve a later run.
+
+    Without ``neighbor_cache``, every batch gets ``built``, which holds
+    the visited masks and the candidates built since it last started
+    again, and the moves skip those candidates (:func:`all_neighbors`
+    says why no output changes).  Once a batch leaves it with more than
+    ``3 * len(visited)`` masks, it starts again as a copy of ``visited``:
+    it holds at most that many when a batch starts, and it is freed when
+    the run returns.  A cached batch is built complete, with a set of its
+    own.
     """
     stats = EnumerationStats()
     t_last = perf_counter()
@@ -158,6 +170,7 @@ def _run(
     # visited; a cached batch was asserted by the run that filled it
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
+    built = {start.mask}
     # what is left to expand: a FIFO queue, or one ascending list, cut to
     # its k - o smallest when k is set (see all_neighbors)
     if kbest:
@@ -172,7 +185,9 @@ def _run(
         room = None if k is None else k - stats.outputs
         stats.expansions += 1
         if neighbor_cache is None:
-            items = all_neighbors(g, sol, visited, room=room, pending=frontier).items
+            items = all_neighbors(
+                g, sol, visited, room=room, pending=frontier, built=built
+            ).items
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
@@ -185,11 +200,14 @@ def _run(
             if max_visited is not None and len(visited) >= max_visited:
                 raise MaxVisitedExceeded(max_visited)
             visited.add(nb.mask)
+            built.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
             push(frontier, nb)
         if room is not None:
             del frontier[room:]
+        if len(built) > 3 * len(visited):
+            built = set(visited)
     stats.peak_visited = len(visited)
     return finalize()
 

@@ -130,9 +130,9 @@ def _view(g: Graph, x: Solution, below: Solution | None = None) -> _View:
     )
 
 
-def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> None:
-    """Minimalize a candidate tree, store its Solution in ``cache`` and
-    append (Solution, prov).  The moves of one expansion share ``cache``.
+def _consider(g: Graph, cand: int, prov: Provenance, out: list, built: set[int]) -> None:
+    """Minimalize a candidate tree, add it to ``built`` and append
+    (Solution, prov).
 
     Every candidate is a tree.  Types I and II break the one cycle a
     candidate can hold where they build it, at the edge the spanning-tree
@@ -140,16 +140,10 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     returns what :func:`minimalize` returns for the candidate with its
     cycle.
 
-    No tree comes here twice in one expansion, so none is looked up.
-    Types I and II test ``cache`` first: a tree there has its Solution
-    earlier in the expansion, so :func:`all_neighbors` would drop the
-    repeat and keep the earlier provenance, and skipping it leaves every
-    batch as it was.  Type III's candidate for the pendant edge e, with
-    leaf v, holds neither e nor any edge at v (F joins W to V(x) - v), and
-    every other candidate holds one of them.  Each holds e before its
-    cycle is broken, except a Type II candidate of e, whose path edge at v
-    lies on no cycle; and a cycle through e passes through v, which keeps
-    its other cycle edge when the cycle is broken.
+    All three moves test ``built`` first and skip a tree already there, so
+    no tree comes here twice while one ``built`` lives: one expansion, or
+    a whole traversal (:func:`all_neighbors` says why the skip leaves
+    every batch item a run keeps as it was).
 
     Every candidate is a CEDS by construction, so it is not tested; a tree
     left after breaking a cycle keeps every vertex and so is a CEDS too.
@@ -174,8 +168,8 @@ def _consider(g: Graph, cand: int, prov: Provenance, out: list, cache: dict) -> 
     :func:`all_neighbors` tests it and fails, as it does on every item of a
     direct call.
     """
-    cache[cand] = sol = Solution(_minimalize_mask(g, cand))
-    out.append((sol, prov))
+    built.add(cand)
+    out.append((Solution(_minimalize_mask(g, cand)), prov))
 
 
 def _rooted(g: Graph, mask: int, root: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -323,15 +317,15 @@ def _grows_at_or_above(
     return not Solution(cand) < view.below
 
 
-def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeI]]:
+def type1_neighbors(g: Graph, view: _View, built: set[int]) -> list[tuple[Solution, TypeI]]:
     """Moves that replace an internal edge of G[x].
 
     Removing internal edge e leaves components C_0, C_1 (each with an
     edge).  For every edge f with exactly one endpoint in V(C_i) and
     outside endpoint v, and every edge g from v into V(C_j), the pair
     rejoins the components; f alone suffices when it bridges them (then
-    g = f).  Each candidate is built once, as a tree: a tree already in
-    ``cache`` is skipped (see :func:`_consider`).
+    g = f).  Each candidate is built as a tree, and only when it is not
+    in ``built`` (see :func:`_consider`).
 
     Everything is read off edge masks (see :class:`_View`), with
     (touch_i, within_i) the edges with an endpoint in V(C_i) and with both
@@ -375,8 +369,8 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     def chord(e: int, f: int, v: int, h: int, cand: int, at_v: int) -> None:
         a, b = edges[h]
         cand ^= 1 << _dfs_cut(anc, chain, v, a ^ b ^ v, h, at_v)
-        if cand not in cache and not (need and _spans_at_or_above(view, cand)):
-            _consider(g, cand, TypeI(e, f, h), out, cache)
+        if cand not in built and not (need and _spans_at_or_above(view, cand)):
+            _consider(g, cand, TypeI(e, f, h), out, built)
 
     for e in _bits(mask):
         if edge_vmask[e] & ~inner:
@@ -403,19 +397,19 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
                     grown &= ~edge_vmask[f]
                 for h in _bits(inc[v] & touch1):
                     cand = base | (1 << h)
-                    if cand in cache:
+                    if cand in built:
                         continue
                     if need and _grows_at_or_above(inc, view, cand, grown & ~edge_vmask[h]):
                         continue
-                    _consider(g, cand, TypeI(e, f, h), out, cache)
+                    _consider(g, cand, TypeI(e, f, h), out, built)
                 continue
             hs = inc[v] & within1
             trees = hs & rest | (1 << f)
             first = trees & -trees
             for h in _bits(hs & ~rest | first):
                 if first >> h & 1:
-                    if base not in cache and not (need and _spans_at_or_above(view, base)):
-                        _consider(g, base, TypeI(e, f, h), out, cache)
+                    if base not in built and not (need and _spans_at_or_above(view, base)):
+                        _consider(g, base, TypeI(e, f, h), out, built)
                 else:
                     chord(e, f, v, h, base | (1 << h), at_v)
         for f in _bits(touch1 & touch0):
@@ -425,7 +419,7 @@ def type1_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
     return out
 
 
-def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, TypeII]]:
+def type2_neighbors(g: Graph, view: _View, built: set[int]) -> list[tuple[Solution, TypeII]]:
     """Moves that replace a pendant edge by a short escape path.
 
     For pendant edge e with pendant vertex v, every path of length one or
@@ -464,8 +458,8 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
         rest = mask ^ (1 << e)
         for h in _bits(inc[v] & within):
             cand = rest | (1 << h)
-            if cand not in cache and not (need and _spans_at_or_above(view, cand)):
-                _consider(g, cand, TypeII(e, (h,)), out, cache)
+            if cand not in built and not (need and _spans_at_or_above(view, cand)):
+                _consider(g, cand, TypeII(e, (h,)), out, built)
         chords = within & ~rest
         fresh = edge_vmask[e] & two
         ends, fresh_loose = leaves | fresh, fresh & loose
@@ -480,7 +474,7 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
                 if rejoins:
                     a, b = edges[h2]
                     cand ^= 1 << _dfs_cut(anc, chain, w, a ^ b ^ w, h2, v == r)
-                if cand in cache:
+                if cand in built:
                     continue
                 if need and (
                     _spans_at_or_above(view, cand)
@@ -488,12 +482,12 @@ def type2_neighbors(g: Graph, view: _View, cache: dict) -> list[tuple[Solution, 
                     else _grows_at_or_above(inc, view, cand, grown & ~edge_vmask[h2])
                 ):
                     continue
-                _consider(g, cand, TypeII(e, (h1, h2)), out, cache)
+                _consider(g, cand, TypeII(e, (h1, h2)), out, built)
     return out
 
 
 def type3_neighbor(
-    g: Graph, view: _View, e: int, v: int, cache: dict
+    g: Graph, view: _View, e: int, v: int, built: set[int]
 ) -> tuple[Solution, TypeIII] | None:
     """The unique move that drops pendant edge e, with leaf v, and re-covers
     its W-vertices.
@@ -507,6 +501,8 @@ def type3_neighbor(
     degree 1 in G: every other edge (w, y) has y != v, x dominates it, and
     w lies outside V(x), so y lies in V(x) - v.
 
+    None is also returned when the candidate c = x - e + F is in
+    ``built``, built earlier in the traversal (see :func:`all_neighbors`).
     With ``below`` given to :func:`_view`, None is also returned when the
     candidate c = x - e + F provably minimalizes to a solution not before
     ``below`` (:func:`_grows_at_or_above`).  c is a tree on V(x) - v + W.
@@ -526,32 +522,36 @@ def type3_neighbor(
         fmask |= low
         ends |= edge_vmask[low.bit_length() - 1]
     cand = view.mask ^ (1 << e) | fmask
+    if cand in built:
+        return None
     if view.below is not None:
         free = vm & ~view.inner & ~ends & ~nbr[v] & ~(1 << v)
         unsettled = sum(1 << ell for ell in _bits(free) if not nbr[ell] & ~vm & ~ws)
         if _grows_at_or_above(inc, view, cand, unsettled):
             return None
     out: list[tuple[Solution, TypeIII]] = []
-    _consider(g, cand, TypeIII(e, tuple(_bits(fmask))), out, cache)
+    _consider(g, cand, TypeIII(e, tuple(_bits(fmask))), out, built)
     return out[0]
 
 
 def _moves(
-    g: Graph, x: Solution, cache: dict, below: Solution | None = None
+    g: Graph, x: Solution, built: set[int], below: Solution | None = None
 ) -> list[tuple[Solution, Provenance]]:
     """Every move from x, a solution of two or more edges, repeats and x
     itself included: Type I, then II, then III, each internally
-    deterministic, all reading one :class:`_View` of x and sharing
-    ``cache``.  With ``below`` given, the moves leave out candidates that
-    provably minimalize to a solution at or above it, each decided by
+    deterministic, all reading one :class:`_View` of x.  They leave out
+    every candidate in ``built`` and add each one they build to it.  With
+    ``below`` given, they also leave out candidates that provably
+    minimalize to a solution at or above it, each decided by
     :func:`_spans_at_or_above` or :func:`_grows_at_or_above`: Types I and
-    II read what :func:`_growth_bound` computes once, in :func:`_view`."""
+    II read what :func:`_growth_bound` computes once, in :func:`_view`.
+    :func:`all_neighbors` says why neither skip changes a kept item."""
     view = _view(g, x, below)
     out: list[tuple[Solution, Provenance]] = []
-    out += type1_neighbors(g, view, cache)
-    out += type2_neighbors(g, view, cache)
+    out += type1_neighbors(g, view, built)
+    out += type2_neighbors(g, view, built)
     for e, v in view.pendants:
-        hit = type3_neighbor(g, view, e, v, cache)
+        hit = type3_neighbor(g, view, e, v, built)
         if hit is not None:
             out.append(hit)
     return out
@@ -564,6 +564,7 @@ def all_neighbors(
     *,
     room: int | None = None,
     pending: Sequence[Solution] = (),
+    built: set[int] | None = None,
 ) -> NeighborBatch:
     """All moves from x, deduplicated by mask, origin removed; with
     ``room`` given, only the solutions a k-capped run can still pop.
@@ -579,6 +580,22 @@ def all_neighbors(
     in; a direct call checks every item.  A solution left out by ``room``
     is dropped before the assert, so it is never checked.
 
+    ``built`` holds candidate masks, and the moves skip every candidate in
+    it and add each one they build (:func:`_moves`).  Without it, the call
+    starts from an empty set, so each candidate is built once per call.  A
+    traversal passes one set across its batches, which also holds every
+    mask it has put in its visited set, so the moves skip what earlier
+    expansions built; :func:`~cedsenum.enumeration._run` resets it to a
+    copy of the visited set once it holds more than ``3 * len(visited)``
+    masks.  A skipped candidate was built earlier in the run, or is a
+    visited mask, its own minimal form.  Either way its solution is the
+    origin, an earlier item of this batch, or an item of an earlier batch,
+    which the run then put in ``certified`` or dropped by a cut below,
+    which drops it again here.  So the first occurrence of every item the
+    batch keeps outside ``certified`` is built, with the provenance a
+    fresh set gives it; the batch only lacks some items in ``certified``,
+    which the run discards as duplicates.
+
     ``room >= 1`` is the number of pops a k-capped traversal has left, and
     ``pending`` the solutions it has yet to pop, ascending and all in
     ``certified``.  Each pop takes the smallest pending solution, later
@@ -589,16 +606,13 @@ def all_neighbors(
     Once ``pending`` holds ``room`` entries, ``b = pending[room - 1]`` is a
     bound, and the batch keeps only the solutions before it.  The moves do
     not even build the candidates that provably minimalize to a solution
-    at or above ``b`` (:func:`_moves` with ``below``).  The batch is still
-    exactly the unbounded batch without the solutions at or above ``b``,
-    in the same order and with the same provenance.  A skipped candidate's
-    solution would have been dropped, and so would every repeat of it.
-    All three moves decide from the candidate's mask alone, so every move
-    that builds a skipped mask again skips it too, and no kept move finds
-    in the cache a candidate that only a skipped one would have put there:
-    the bounded moves are the unbounded ones without every build of the
-    skipped masks.  Type III runs last, and its candidates lack distinct
-    edges of x, so skipping one changes no other candidate.
+    at or above ``b`` (:func:`_moves` with ``below``).  A skipped
+    candidate's solution would have been dropped, and so would every
+    repeat of it: all three moves decide from the candidate's mask alone,
+    so every move that builds a skipped mask again skips it too.  With an
+    empty ``built``, the batch is exactly the unbounded batch without the
+    solutions at or above ``b``, in the same order and with the same
+    provenance.
 
     Then take the new items, those before ``b`` and not in ``certified``.
     When they and ``pending`` number more than ``room``, the batch keeps
@@ -622,7 +636,7 @@ def all_neighbors(
     below = pending[room - 1] if room is not None and len(pending) >= room else None
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
-    for sol, prov in _moves(g, x, {}, below):
+    for sol, prov in _moves(g, x, set() if built is None else built, below):
         if sol.mask not in seen:
             seen.add(sol.mask)
             if below is None or sol < below:

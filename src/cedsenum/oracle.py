@@ -328,22 +328,22 @@ def _move_candidates(run: _GraphRun):
     docstring of ``neighbors._consider`` made executable: the moves
     minimalize their candidates without testing them.  Runs the three move
     types (``neighbors._moves``) on each sampled node and tests every
-    candidate in their shared cache.  The cache holds a candidate with a
-    cycle as the tree the moves break it to, and a CEDS tree inside a
+    candidate in the set of masks they build.  The set holds a candidate
+    with a cycle as the tree the moves break it to, and a CEDS tree inside a
     candidate makes the candidate a CEDS, so testing the tree covers both."""
     g, nodes = run.g, run.solutions
     if len(nodes) > CANDIDATE_SAMPLE:
         nodes = [nodes[i * len(nodes) // CANDIDATE_SAMPLE] for i in range(CANDIDATE_SAMPLE)]
     count = 0
     for x in nodes:
-        cache: dict = {}
-        _moves(g, x, cache)
-        for cand in cache:
+        built: set[int] = set()
+        _moves(g, x, built)
+        for cand in built:
             if not _is_ceds_mask(g, cand):
                 raise _Counterexample(
                     f"move candidate '{run.line(Solution(cand))}' of '{run.line(x)}' is not a CEDS"
                 )
-        count += len(cache)
+        count += len(built)
     return f"{count} candidates", count, {}
 
 

@@ -566,8 +566,8 @@ def _add_arcs(targets):
          "neighbor '2-3 3-4 0-4' of '0-1 1-2 2-3' is not a minimal CEDS tree"),
         ("build_supergraph", _add_arcs(lambda g, s: tuple(s.nodes) * 80), "out-degree-bound",
          "out-degree 404 exceeds 8*n*m*delta = 400"),
-        ("_moves",  # also caches the lone edge 0-1, which dominates too little
-         lambda real: lambda g, x, cache: cache.setdefault(1, None) or real(g, x, cache),
+        ("_moves",  # also records the lone edge 0-1, which dominates too little
+         lambda real: lambda g, x, built: built.add(1) or real(g, x, built),
          "move-candidates", "move candidate '0-1' of '0-1 1-2 2-3' is not a CEDS"),
     ],
     ids=["best-first-mismatch", "neighbor-outside-oracle", "minimality-split",

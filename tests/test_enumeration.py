@@ -65,7 +65,7 @@ def test_enumerate_all_five_cycle(c5):
     assert keys == [(1, 2, 3), (0, 3, 4), (2, 3, 4), (0, 1, 4), (0, 1, 2)]
     assert stats.outputs == 5
     assert stats.expansions == 5
-    assert stats.duplicates == 14
+    assert stats.duplicates == 2
     assert stats.peak_visited == 5
 
 
@@ -553,3 +553,62 @@ def test_trimming_the_heap_changes_nothing(n, p, seed, k):
     kept = {sol for sol, _ in inserts}
     assert all(sol in kept for sol in out[1:])
     assert stats.peak_visited == len(inserts) + 1
+
+
+def _recorded(run, g, *args, **kwargs):
+    """Outputs, (mask, provenance) inserts and stats of one run."""
+    out, inserts = [], []
+    stats = run(
+        g, *args, out.append, **kwargs,
+        on_insert=lambda sol, prov: inserts.append((sol.mask, prov.trace())),
+    )
+    return out, inserts, stats
+
+
+@given(
+    st.integers(min_value=5, max_value=8),
+    st.sampled_from((0.25, 0.4)),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=40),
+)
+@example(n=8, p=0.4, seed=7, k=40)  # 876 solutions, and the runs reset their built masks
+@PROPERTY_SETTINGS
+def test_building_each_candidate_once_per_run_changes_nothing(n, p, seed, k):
+    """Without a cache, a run shares one set of built masks across its
+    batches and skips every candidate in it.  A run that fills a
+    ``neighbor_cache`` builds every batch complete, so it is the reference
+    for ``enumerate_all`` and ``enumerate_kbest(k=None)``.  A k-capped run
+    ignores the cache, so its reference gives each batch a fresh set, and
+    the untrimmed heap of ``kbest_untrimmed`` pops the same solutions.  The
+    runs agree on outputs, inserts and their provenance, expansions and
+    ``peak_visited``, and count no more duplicates than the reference.
+    Every batch of a run starts with at most ``3 * len(visited)`` built
+    masks."""
+    g = random_connected_graph(n, p, seed)
+    starts: list[tuple[int, int]] = []
+
+    def shared(g, x, certified, **kwargs):
+        starts.append((len(kwargs["built"]), len(certified)))
+        return neighbors.all_neighbors(g, x, certified, **kwargs)
+
+    def fresh(g, x, certified, *, built, **kwargs):
+        return neighbors.all_neighbors(g, x, certified, **kwargs)
+
+    def same(got, ref):
+        (out, inserts, stats), (ref_out, ref_inserts, ref_stats) = got, ref
+        assert out == ref_out and inserts == ref_inserts
+        assert stats.expansions == ref_stats.expansions
+        assert stats.peak_visited == ref_stats.peak_visited
+        assert stats.duplicates <= ref_stats.duplicates
+
+    for run, args in ((enumerate_all, ()), (enumerate_kbest, (None,))):
+        with mock.patch.object(enumeration, "all_neighbors", shared):
+            got = _recorded(run, g, *args)
+        same(got, _recorded(run, g, *args, neighbor_cache={}))
+    with mock.patch.object(enumeration, "all_neighbors", shared):
+        got = _recorded(enumerate_kbest, g, k)
+    with mock.patch.object(enumeration, "all_neighbors", fresh):
+        same(got, _recorded(enumerate_kbest, g, k))
+    untrimmed = _recorded(kbest_untrimmed, g, k)
+    assert got[0] == untrimmed[0] and got[2].expansions == untrimmed[2].expansions
+    assert all(size <= 3 * visited for size, visited in starts)

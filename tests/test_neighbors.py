@@ -71,7 +71,7 @@ def _type1_candidate(x, prov):
 
 
 def test_type1_moves(c5, c5_solution):
-    results = type1_neighbors(c5, _view(c5, c5_solution), {})
+    results = type1_neighbors(c5, _view(c5, c5_solution), set())
     keys = {sol.canonical_key for sol, _ in results}
     assert keys == {(0, 1, 2), (2, 3, 4)}  # self-restatements plus one shift
     traces = [prov.trace() for sol, prov in results if sol != c5_solution]
@@ -84,7 +84,7 @@ def test_type1_moves(c5, c5_solution):
 
 
 def test_type2_moves(c5, c5_solution):
-    results = type2_neighbors(c5, _view(c5, c5_solution), {})
+    results = type2_neighbors(c5, _view(c5, c5_solution), set())
     arrivals = {
         (sol.canonical_key, prov.trace())
         for sol, prov in results
@@ -99,13 +99,13 @@ def test_type2_moves(c5, c5_solution):
 
 def test_type2_moves_on_a_path_only_restate_the_solution(p5):
     x = _solution(p5, 0b0110)
-    results = type2_neighbors(p5, _view(p5, x), {})
+    results = type2_neighbors(p5, _view(p5, x), set())
     assert results
     assert {sol.canonical_key for sol, _ in results} == {(1, 2)}
 
 
 def test_type3_move(c5, p5, c5_solution):
-    got = type3_neighbor(c5, _view(c5, c5_solution), 0, 0, {})
+    got = type3_neighbor(c5, _view(c5, c5_solution), 0, 0, set())
     assert got is not None
     sol, prov = got
     assert isinstance(prov, TypeIII)
@@ -114,7 +114,7 @@ def test_type3_move(c5, p5, c5_solution):
     assert prov.bundle == (3,)
     assert prov.trace() == "TYPE3 e=0 F=3"
     # the leaf 1 of the path touches the pendant edge 0-1: no third-type move
-    assert type3_neighbor(p5, _view(p5, _solution(p5, 0b0110)), 1, 1, {}) is None
+    assert type3_neighbor(p5, _view(p5, _solution(p5, 0b0110)), 1, 1, set()) is None
 
 
 def _w_set_by_private_edges(g, mask, e, v):
@@ -134,7 +134,7 @@ def _w_set_by_private_edges(g, mask, e, v):
 def _w_set_of_move(g, view, e, v):
     """(skipped, W) as :func:`type3_neighbor` gives them: W is the endpoints
     of its bundle outside V(x), one per bundle edge."""
-    hit = type3_neighbor(g, view, e, v, {})
+    hit = type3_neighbor(g, view, e, v, set())
     if hit is None:
         return True, None
     bundle = hit[1].bundle
@@ -204,7 +204,7 @@ def test_type1_matches_the_full_edge_scan(n, seed):
         first: dict = {}
         for sol, prov in _type1_by_full_scan(g, x):
             first.setdefault(_spanning_tree_mask(g, _type1_candidate(x, prov)), (sol, prov))
-        assert type1_neighbors(g, _view(g, x), {}) == list(first.values())
+        assert type1_neighbors(g, _view(g, x), set()) == list(first.values())
 
 
 def _all_neighbors_building_every_pair(g, x):
@@ -293,18 +293,24 @@ def test_all_neighbors_matches_building_every_pair(p, n, seed):
         assert [(sol.mask, prov.trace()) for sol, prov in got] == [
             (sol.mask, prov.trace()) for sol, prov in items
         ]
-        cache: dict = {}
-        _moves(g, x, cache)
-        assert cache.keys() == {_spanning_tree_mask(g, cand) for cand in ref_cache}
+        built: set = set()
+        _moves(g, x, built)
+        assert built == {_spanning_tree_mask(g, cand) for cand in ref_cache}
 
 
 def _trees_by_move(move, g, x):
-    """The tree each move of ``move`` from x passed to ``_consider``: with a
-    fresh cache, each call adds one key, in the order of the batch."""
-    cache: dict = {}
-    out = move(g, _view(g, x), cache)
-    assert len(out) == len(cache)
-    return {prov: tree for (_, prov), tree in zip(out, cache)}
+    """The tree each move of ``move`` from x passed to ``_consider``, one
+    call per item, in the order of the batch."""
+    consider, trees = neighbors._consider, []
+
+    def recorded(g, cand, prov, out, built):
+        trees.append(cand)
+        consider(g, cand, prov, out, built)
+
+    with mock.patch.object(neighbors, "_consider", recorded):
+        out = move(g, _view(g, x), set())
+    assert len(out) == len(trees)
+    return {prov: tree for (_, prov), tree in zip(out, trees)}
 
 
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10_000))
@@ -456,22 +462,20 @@ def test_every_batch_matches_the_golden_digest():
 
 
 def test_no_candidate_is_considered_twice_in_one_expansion(monkeypatch):
-    """``_consider`` minimalizes and stores every candidate it is given,
-    with no cache test of its own.  That rests on its docstring's argument:
-    Types I and II test the cache before each call, and a Type III
-    candidate, which lacks its pendant edge e and every edge at the leaf
-    v, is never a tree built before it in the same expansion.  Every call
-    is checked on every batch of the non-trivial corpus graphs (unbounded,
-    through ``enumerate_all``), and on the golden k=20 and the ``kbest_n30``
-    instances, bounded through ``enumerate_kbest`` and unbounded from each
-    output."""
+    """``_consider`` minimalizes and records every candidate it is given,
+    with no test of its own: all three moves test the built masks before
+    each call, so no candidate comes twice while they live, in one
+    expansion or in one run.  Every call is checked on every batch of the
+    non-trivial corpus graphs (unbounded, through ``enumerate_all``), and
+    on the golden k=20 and the ``kbest_n30`` instances, bounded through
+    ``enumerate_kbest`` and unbounded from each output."""
     consider = neighbors._consider
     calls = {TypeI: 0, TypeII: 0, TypeIII: 0}
 
-    def checked(g, cand, prov, out, cache):
-        assert cand not in cache, prov.trace()
+    def checked(g, cand, prov, out, built):
+        assert cand not in built, prov.trace()
         calls[type(prov)] += 1
-        return consider(g, cand, prov, out, cache)
+        return consider(g, cand, prov, out, built)
 
     monkeypatch.setattr(neighbors, "_consider", checked)
     for g in [*tiny_corpus(), *random_corpus(60)]:
@@ -495,7 +499,7 @@ def _bounded_batch_skips(g, x, below):
     subsequence of them, each minimalizing to a solution at or above
     ``below``."""
     full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x).items]
-    bounded = [(sol, prov.trace()) for sol, prov in _moves(g, x, {}, below)]
+    bounded = [(sol, prov.trace()) for sol, prov in _moves(g, x, set(), below)]
     seen = {x.mask}
     got = []
     for sol, trace in bounded:
@@ -507,7 +511,7 @@ def _bounded_batch_skips(g, x, below):
     kept = iter(bounded)
     nxt = next(kept, None)
     skipped = []
-    for item in ((sol, prov.trace()) for sol, prov in _moves(g, x, {})):
+    for item in ((sol, prov.trace()) for sol, prov in _moves(g, x, set())):
         if item == nxt:
             nxt = next(kept, None)
         else:
@@ -575,7 +579,13 @@ def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
     are before H's r-th smallest, when H has r entries or more, and at or
     below the r-th smallest of H and the new items (those not certified);
     of those, only the new ones are self-checked.  x, the certified masks,
-    H among them, and r are drawn from the graph's first 100 solutions."""
+    H among them, and r are drawn from the graph's first 100 solutions.
+
+    A second batch from x always reads its bound off a list longer than r:
+    every solution found and every item of x's batch is certified and
+    pending, and r puts x's smallest neighbour y at ``H[r - 1]``, with
+    larger ones after it.  The batch is empty; a bound read at ``H[-1]``
+    would keep y, since the cut keeps what is at or below y."""
     g = random_connected_graph(n, p, seed)
     if min_ceds_is_singleton(g) is not None:
         return
@@ -585,7 +595,17 @@ def test_room_keeps_only_what_a_capped_run_can_still_pop(n, p, seed, data):
     certified = data.draw(st.sets(st.sampled_from(sols), max_size=30))
     pending = sorted(data.draw(st.sets(st.sampled_from(sols), max_size=30)) & certified - {x})
     room = data.draw(st.integers(min_value=1, max_value=40))
-    masks = {sol.mask for sol in certified}
+    _check_room(g, x, {sol.mask for sol in certified}, pending, room)
+    neighbours = [sol for sol, _ in all_neighbors(g, x).items]
+    pending = sorted({*sols, *neighbours} - {x})
+    if neighbours and min(neighbours) != pending[-1]:
+        room = pending.index(min(neighbours)) + 1
+        _check_room(g, x, {sol.mask for sol in pending}, pending, room)
+
+
+def _check_room(g, x, masks, pending, room):
+    """The batch from x with the certified ``masks``, ``room`` and
+    ``pending`` against the unbounded batch cut by hand."""
     full = [(sol, prov.trace()) for sol, prov in all_neighbors(g, x, masks).items]
     if len(pending) >= room:
         full = [item for item in full if item[0] < pending[room - 1]]
@@ -651,7 +671,7 @@ def _checked_predictions(g, x, below):
         mock.patch.object(neighbors, "_grows_at_or_above", checked_grows),
         mock.patch.object(neighbors, "type3_neighbor", checked_type3),
     ):
-        _moves(g, x, {}, below)
+        _moves(g, x, set(), below)
     return made
 
 

@@ -63,7 +63,7 @@ def test_tracer_counts_the_hot_path(c5):
     assert tracer.calls["ceds.minimalize"] > 0
     for kind in ("type1", "type2", "type3"):
         assert tracer.counts[f"neighbors.candidates.{kind}"] > 0
-    # each candidate mask is built once per expansion, so none is a repeat
+    # each candidate mask is built once per run, so none is a repeat
     assert tracer.counts["neighbors.cache_hits"] == 0
     assert cedsenum.neighbors._consider is consider
     assert cedsenum.enumeration.all_neighbors is cedsenum.neighbors.all_neighbors
@@ -73,37 +73,42 @@ def test_move_counts_are_pinned_on_the_golden_kbest_instance():
     """The k=20 run of the golden digest test.  A faster candidate path
     must still build the same distinct candidates, minimalize as often and
     self-check every solution the run inserts into its visited set, once.
-    Each candidate is built once per expansion, as the tree the DFS would
-    keep of it, so the cache is never hit, no DFS runs on the candidate
-    path, and the moves build CEDS by construction, so no candidate is
-    CEDS-tested.  Unbounded, the 19 expansions build 145 Type I, 106 Type
-    II and 70 Type III candidates.  Once the pending list has a bound, the
-    moves skip the candidates that provably minimalize to a solution at or
-    above it, 62 of Type I, 41 of Type II and 30 of Type III here, so 83,
-    65 and 40 candidates are minimalized.  All three skip by the full
-    solution order.  The bound is the largest entry of a pending list cut
-    to ``k - o`` entries after every batch.  The skipped solutions never
-    reached a batch, so the batches are the unbounded ones without them and
-    without what the pending list would not keep.  The seed minimalizes
-    each of its 13 distinct pruned DFS trees once.  The start is asserted in the traversal itself, outside
-    the ``ceds.self_check`` span, so the span counts the 22 inserted masks
-    of the 99 batch items: ``all_neighbors`` also leaves out every
-    solution at or above the bound, and every one above the ``(k - o)``-th
-    smallest of the pending list and the batch, unchecked."""
+    Each candidate is built once per run, as the tree the DFS would keep
+    of it, so ``_consider`` never meets a built mask, no DFS runs on the
+    candidate path, and the moves build CEDS by construction, so no
+    candidate is CEDS-tested.  Unbounded, with a fresh set of built masks
+    per expansion, the 19 expansions build 145 Type I, 106 Type II and 70
+    Type III candidates.  Once the pending list has a bound, the moves
+    skip the candidates that provably minimalize to a solution at or above
+    it, 62 of Type I, 41 of Type II and 30 of Type III here, which leaves
+    83, 65 and 40.  All three skip by the full solution order.  The bound
+    is the largest entry of a pending list cut to ``k - o`` entries after
+    every batch.  The run shares one set of built masks across its
+    batches, visited masks included, which skips another 48, 9 and 30
+    built earlier in the run, so 35, 56 and 10 candidates are minimalized.
+    The skipped solutions are in the visited set or dropped unchecked,
+    so the batches are the unbounded ones without them and without what
+    the pending list would not keep.  The seed minimalizes each of its 13
+    distinct pruned DFS trees once.  The start is asserted in the
+    traversal itself, outside the ``ceds.self_check`` span, so the span
+    counts the 22 inserted masks of the 68 batch items: ``all_neighbors``
+    also leaves out every solution at or above the bound, and every one
+    above the ``(k - o)``-th smallest of the pending list and the batch,
+    unchecked."""
     g = random_connected_graph(14, 0.18, 8)
     stats = []
     tracer = _traced(
         lambda: stats.append(cedsenum.enumeration.enumerate_kbest(g, 20, lambda sol: None))
     )
     counts = {
-        "neighbors.candidates.type1": 83,
-        "neighbors.candidates.type2": 65,
-        "neighbors.candidates.type3": 40,
+        "neighbors.candidates.type1": 35,
+        "neighbors.candidates.type2": 56,
+        "neighbors.candidates.type3": 10,
         "neighbors.cache_hits": 0,
-        "neighbors.batch_items": 99,
+        "neighbors.batch_items": 68,
     }
     assert {name: tracer.counts[name] for name in counts} == counts
-    assert tracer.calls["ceds.minimalize"] == 83 + 65 + 40 + 13
+    assert tracer.calls["ceds.minimalize"] == 35 + 56 + 10 + 13
     assert tracer.calls["ceds.self_check"] == stats[0].peak_visited - 1 == 22
     assert tracer.calls["ceds.is_ceds"] == 0
     assert tracer.calls["graph.spanning_tree"] == 0
