@@ -44,12 +44,14 @@ class EnumerationStats:
     ``peak_visited`` is the size of the visited set at the end, the start
     included, and ``duplicates`` counts the batch items already in it.  A
     run without ``neighbor_cache`` skips the candidates it built in
-    earlier expansions (see :func:`_run`), so its batches leave out many
-    such items, and it counts fewer duplicates than a cached run with the
-    same outputs.  A k-capped run drops first every item it can no longer
-    pop (see :func:`~cedsenum.neighbors.all_neighbors`), so neither counts
-    them, and its visited set grows by at most ``k - o`` per expansion,
-    ``o`` being the solutions out."""
+    earlier expansions, and the splits x - e that an expanded solution
+    explored, tracked in a set of at most ``peak_visited`` masks (see
+    :func:`_run`).  So its batches leave out many such items, and it
+    counts fewer duplicates than a cached run with the same outputs.  A
+    k-capped run drops first every item it can no longer pop (see
+    :func:`~cedsenum.neighbors.all_neighbors`), so neither counts them,
+    and its visited set grows by at most ``k - o`` per expansion, ``o``
+    being the solutions out."""
 
     outputs: int = 0
     expansions: int = 0
@@ -117,11 +119,14 @@ def _run(
     Without ``neighbor_cache``, every batch gets ``built``, which holds
     the visited masks and the candidates built since it last started
     again, and the moves skip those candidates (:func:`all_neighbors`
-    says why no output changes).  Once a batch leaves it with more than
-    ``3 * len(visited)`` masks, it starts again as a copy of ``visited``:
-    it holds at most that many when a batch starts, and it is freed when
-    the run returns.  A cached batch is built complete, with a set of its
-    own.
+    says why no output changes).  A batch that would start with more than
+    ``3 * len(visited)`` masks starts instead with a copy of ``visited``,
+    and the set is freed when the run returns.  Every batch also gets
+    ``expanded``, the solutions popped and expanded so far, and the moves
+    leave out every split one of them explored.  Each is visited, so the
+    set holds at most ``len(visited)`` masks, and it is never reset: a
+    split is walked at most once per run.  A cached batch is built
+    complete, and the run keeps neither set.
     """
     stats = EnumerationStats()
     t_last = perf_counter()
@@ -170,7 +175,8 @@ def _run(
     # visited; a cached batch was asserted by the run that filled it
     assert is_minimal_ceds(g, start.mask)
     visited = {start.mask}
-    built = {start.mask}
+    if neighbor_cache is None:
+        built, expanded = {start.mask}, set()
     # what is left to expand: a FIFO queue, or one ascending list, cut to
     # its k - o smallest when k is set (see all_neighbors)
     if kbest:
@@ -185,9 +191,12 @@ def _run(
         room = None if k is None else k - stats.outputs
         stats.expansions += 1
         if neighbor_cache is None:
+            if len(built) > 3 * len(visited):
+                built = set(visited)
             items = all_neighbors(
-                g, sol, visited, room=room, pending=frontier, built=built
+                g, sol, visited, room=room, pending=frontier, built=built, expanded=expanded
             ).items
+            expanded.add(sol.mask)
         else:
             batch = neighbor_cache.get(sol.mask)
             if batch is None:
@@ -200,14 +209,13 @@ def _run(
             if max_visited is not None and len(visited) >= max_visited:
                 raise MaxVisitedExceeded(max_visited)
             visited.add(nb.mask)
-            built.add(nb.mask)
+            if neighbor_cache is None:
+                built.add(nb.mask)
             if on_insert is not None:
                 on_insert(nb, prov)
             push(frontier, nb)
         if room is not None:
             del frontier[room:]
-        if len(built) > 3 * len(visited):
-            built = set(visited)
     stats.peak_visited = len(visited)
     return finalize()
 

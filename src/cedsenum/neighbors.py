@@ -8,7 +8,7 @@ connected, which is what lets a plain traversal reach every solution.
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Collection, Container, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,7 +81,8 @@ class _View:
     in V(x) (``touch``) and with both there (``within``), x rooted at
     r = min V(x) by the walk :func:`_spanning_tree_mask` takes
     (:func:`_rooted`), the bound ``below`` (None when unbounded) and its
-    :func:`_growth_bound`.
+    :func:`_growth_bound`, and ``expanded``, the solutions the run has
+    expanded, whose splits the moves leave out (:func:`_explored`).
 
     The moves read the edges that rejoin a vertex to x off these masks: the
     set bits of an edge mask ascend as ``g.adjacency`` does, so they visit
@@ -102,6 +103,7 @@ class _View:
     loose: int
     loose_edges: int
     two: int
+    expanded: Collection[int]
 
 
 def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
@@ -118,16 +120,39 @@ def _touch_within(inc: tuple[int, ...], vm: int) -> tuple[int, int]:
     return touch, within
 
 
-def _view(g: Graph, x: Solution, below: Solution | None = None) -> _View:
+def _view(
+    g: Graph, x: Solution, below: Solution | None = None, expanded: Collection[int] = frozenset()
+) -> _View:
+    """The :class:`_View` of x.  Its pendant items leave out each (e, v)
+    whose split an expanded sibling x - e + b explored, b an edge from the
+    leaf v back into V(x - e) (:func:`_explored`)."""
     mask, inc = x.mask, g.incident_mask
     vm, inner = _vertex_degree_masks(g, mask)
+    touch, within = _touch_within(inc, vm)
     # x has two or more edges, so no edge has two leaves
-    pendants = sorted(((inc[ell] & mask).bit_length() - 1, ell) for ell in _bits(vm & ~inner))
+    pendants = [
+        (e, v)
+        for e, v in sorted(((inc[ell] & mask).bit_length() - 1, ell) for ell in _bits(vm & ~inner))
+        if not _explored(expanded, mask ^ (1 << e), inc[v] & within & ~(1 << e))
+    ]
     r = (vm & -vm).bit_length() - 1
     return _View(
-        mask, vm, inner, pendants, *_touch_within(inc, vm),
-        r, *_rooted(g, mask, r), below, *_growth_bound(g, mask, vm, below),
+        mask, vm, inner, pendants, touch, within,
+        r, *_rooted(g, mask, r), below, *_growth_bound(g, mask, vm, below), expanded,
     )
+
+
+def _explored(expanded: Collection[int], rest: int, siblings: int) -> bool:
+    """True when ``rest | 1 << b`` is in ``expanded`` for an edge b of
+    ``siblings``: a sibling that shares the split ``rest`` = x - e was
+    expanded, so the moves leave out e (:func:`all_neighbors`)."""
+    if expanded:
+        while siblings:
+            low = siblings & -siblings
+            if rest | low in expanded:
+                return True
+            siblings ^= low
+    return False
 
 
 def _consider(g: Graph, cand: int, prov: Provenance, out: list, built: set[int]) -> None:
@@ -325,7 +350,9 @@ def type1_neighbors(g: Graph, view: _View, built: set[int]) -> list[tuple[Soluti
     outside endpoint v, and every edge g from v into V(C_j), the pair
     rejoins the components; f alone suffices when it bridges them (then
     g = f).  Each candidate is built as a tree, and only when it is not
-    in ``built`` (see :func:`_consider`).
+    in ``built`` (see :func:`_consider`).  An e is left out when an
+    expanded sibling x - e + b explored its split, b != e an edge between
+    the two components (:func:`all_neighbors`).
 
     Everything is read off edge masks (see :class:`_View`), with
     (touch_i, within_i) the edges with an endpoint in V(C_i) and with both
@@ -383,6 +410,8 @@ def type1_neighbors(g: Graph, view: _View, built: set[int]) -> list[tuple[Soluti
         # side 1 is V(x) - V0; an edge from V0 to it is within V(x), not V0
         within1 = within & ~touch0
         touch1 = touch & ~touch0 | within & touch0 & ~within0
+        if _explored(view.expanded, rest, touch0 & touch1 & ~(1 << e)):
+            continue
         at_v = v0 >> r & 1  # on side 0, the DFS reaches a cycle through f
         fresh = edge_vmask[e] & two
         ends, fresh_loose = leaves | fresh, fresh & loose
@@ -425,7 +454,9 @@ def type2_neighbors(g: Graph, view: _View, built: set[int]) -> list[tuple[Soluti
     For pendant edge e with pendant vertex v, every path of length one or
     two from v back to a vertex of G[x - e] is patched in; the path may
     reuse e itself, which yields the origin again (dropped later).  Each
-    candidate is built once, as in :func:`type1_neighbors`.
+    candidate is built once, as in :func:`type1_neighbors`.  The pendant
+    items come from :func:`_view`, without those whose split an expanded
+    sibling explored (:func:`all_neighbors`).
 
     The paths are read off edge masks (see :class:`_View`); V(x - e) is
     V(x) without v.  The one-edge paths are ``inc[v] & within``.  A path
@@ -503,6 +534,8 @@ def type3_neighbor(
 
     None is also returned when the candidate c = x - e + F is in
     ``built``, built earlier in the traversal (see :func:`all_neighbors`).
+    The callers take (e, v) from the view's pendant items, which leave out
+    the splits an expanded sibling explored.
     With ``below`` given to :func:`_view`, None is also returned when the
     candidate c = x - e + F provably minimalizes to a solution not before
     ``below`` (:func:`_grows_at_or_above`).  c is a tree on V(x) - v + W.
@@ -535,18 +568,24 @@ def type3_neighbor(
 
 
 def _moves(
-    g: Graph, x: Solution, built: set[int], below: Solution | None = None
+    g: Graph,
+    x: Solution,
+    built: set[int],
+    below: Solution | None = None,
+    expanded: Collection[int] = frozenset(),
 ) -> list[tuple[Solution, Provenance]]:
     """Every move from x, a solution of two or more edges, repeats and x
     itself included: Type I, then II, then III, each internally
     deterministic, all reading one :class:`_View` of x.  They leave out
-    every candidate in ``built`` and add each one they build to it.  With
+    every candidate in ``built`` and add each one they build to it, and
+    every split that a solution in ``expanded`` explored (:func:`_view`
+    and :func:`type1_neighbors` test it, by :func:`_explored`).  With
     ``below`` given, they also leave out candidates that provably
     minimalize to a solution at or above it, each decided by
     :func:`_spans_at_or_above` or :func:`_grows_at_or_above`: Types I and
     II read what :func:`_growth_bound` computes once, in :func:`_view`.
-    :func:`all_neighbors` says why neither skip changes a kept item."""
-    view = _view(g, x, below)
+    :func:`all_neighbors` says why no skip changes a kept item."""
+    view = _view(g, x, below, expanded)
     out: list[tuple[Solution, Provenance]] = []
     out += type1_neighbors(g, view, built)
     out += type2_neighbors(g, view, built)
@@ -565,6 +604,7 @@ def all_neighbors(
     room: int | None = None,
     pending: Sequence[Solution] = (),
     built: set[int] | None = None,
+    expanded: Collection[int] = frozenset(),
 ) -> NeighborBatch:
     """All moves from x, deduplicated by mask, origin removed; with
     ``room`` given, only the solutions a k-capped run can still pop.
@@ -591,10 +631,32 @@ def all_neighbors(
     visited mask, its own minimal form.  Either way its solution is the
     origin, an earlier item of this batch, or an item of an earlier batch,
     which the run then put in ``certified`` or dropped by a cut below,
-    which drops it again here.  So the first occurrence of every item the
-    batch keeps outside ``certified`` is built, with the provenance a
-    fresh set gives it; the batch only lacks some items in ``certified``,
-    which the run discards as duplicates.
+    which drops it again here.
+
+    ``expanded`` holds the solutions a traversal has expanded, and the
+    moves leave out every split that one of them explored.  A split is
+    the remainder x - e of a removed edge e, with the leaf v when e is
+    pendant.  Every move from x that removes e reads only the remainder,
+    its vertex set and v, and :func:`_dfs_cut` returns the tree
+    :func:`_spanning_tree_mask` keeps of the candidate, whatever the
+    rooting, so the candidates of a split do not depend on x.  A sibling
+    x - e + b shares the split when b != e joins the two components of
+    x - e, for an internal e, or joins v back to V(x - e), for a pendant e:
+    in the sibling, b is then internal, or pendant at v
+    (:func:`_explored`).  A sibling expanded earlier in the run met every
+    candidate of the split: it built it, skipped it as built, or skipped it
+    by a bound that has not risen since.  So each result of the split is
+    the sibling, in ``certified``, an item of an earlier batch, which the
+    run put in ``certified`` or dropped by a cut that drops it again here,
+    or a solution at or above a bound that drops it again.  Only an
+    expanded sibling counts: with a merely visited one, two unexpanded
+    siblings could each wait for the other, and neither would walk the
+    split.  The default, an empty ``expanded``, leaves out no split.
+
+    So the first occurrence of every item the batch keeps outside
+    ``certified`` is built, with the provenance a fresh ``built`` and an
+    empty ``expanded`` give it; the batch only lacks some items in
+    ``certified``, which the run discards as duplicates.
 
     ``room >= 1`` is the number of pops a k-capped traversal has left, and
     ``pending`` the solutions it has yet to pop, ascending and all in
@@ -636,7 +698,7 @@ def all_neighbors(
     below = pending[room - 1] if room is not None and len(pending) >= room else None
     seen = {x.mask}
     items: list[tuple[Solution, Provenance]] = []
-    for sol, prov in _moves(g, x, set() if built is None else built, below):
+    for sol, prov in _moves(g, x, set() if built is None else built, below, expanded):
         if sol.mask not in seen:
             seen.add(sol.mask)
             if below is None or sol < below:

@@ -612,3 +612,55 @@ def test_building_each_candidate_once_per_run_changes_nothing(n, p, seed, k):
     untrimmed = _recorded(kbest_untrimmed, g, k)
     assert got[0] == untrimmed[0] and got[2].expansions == untrimmed[2].expansions
     assert all(size <= 3 * visited for size, visited in starts)
+
+
+_SPLIT_SKIP_EXAMPLE = dict(n=7, p=0.4, seed=7)  # 88 solutions, 124 splits left out
+
+
+@given(
+    st.integers(min_value=5, max_value=8),
+    st.sampled_from((0.25, 0.4)),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example(**_SPLIT_SKIP_EXAMPLE)
+@PROPERTY_SETTINGS
+def test_exploring_each_split_once_per_run_changes_nothing(n, p, seed):
+    """Without a cache, the moves leave out each split x - e that an
+    expanded sibling explored.  At every expansion of ``enumerate_all``
+    and ``enumerate_kbest(k=None)``, the complete batch, with a fresh set
+    of built masks and nothing expanded, holds every item of the run's
+    batch outside ``certified`` in the same order with the same
+    provenance, and lacks from it only items in ``certified``.  The run
+    has expanded at most ``len(certified)`` solutions when a batch
+    starts.  On the example, some splits are left out."""
+    g = random_connected_graph(n, p, seed)
+    skipped = 0
+    explored = neighbors._explored
+
+    def counted(expanded, rest, siblings):
+        nonlocal skipped
+        hit = explored(expanded, rest, siblings)
+        skipped += hit
+        return hit
+
+    def checked(g, x, certified, *, expanded, **kwargs):
+        assert len(expanded) <= len(certified)
+        batch = neighbors.all_neighbors(g, x, certified, expanded=expanded, **kwargs)
+        complete = neighbors.all_neighbors(g, x, certified)
+        masks = {sol.mask for sol, _ in batch.items}
+        assert all(sol.mask in certified for sol, _ in complete.items if sol.mask not in masks)
+
+        def new(items):
+            return [(sol.mask, prov.trace()) for sol, prov in items if sol.mask not in certified]
+
+        assert new(batch.items) == new(complete.items)
+        return batch
+
+    with (
+        mock.patch.object(neighbors, "_explored", counted),
+        mock.patch.object(enumeration, "all_neighbors", checked),
+    ):
+        for run, args in ((enumerate_all, ()), (enumerate_kbest, (None,))):
+            run(g, *args, lambda sol: None)
+    if dict(n=n, p=p, seed=seed) == _SPLIT_SKIP_EXAMPLE:
+        assert skipped
